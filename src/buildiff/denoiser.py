@@ -101,36 +101,61 @@ def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
 
 
 def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
-                  z_I: np.ndarray | None) -> T.DiffTensor:
-    """Differentiable forward pass; returns the (K, 3) noise prediction."""
+                  z_I: np.ndarray | None, guided: bool = False):
+    """Differentiable forward pass; returns the (K, 3) noise prediction.
+
+    The max-pool context and the fused time/condition features are the same
+    on every row, so they are computed once as (1, .) rows and enter the
+    first decoder layer as one bias row: ctx@W_ctx + fused@W_f + dec.b1,
+    added to h@W_h. With guided=True the unconditional branch is decoded
+    from the same point trunk, and (eps_cond, eps_uncond) is returned.
+    """
     if xt.ndim != 2 or xt.shape[1] != 3:
         raise ValueError(f"xt must be (K,3), got {xt.shape}")
     K = xt.shape[0]
     x = T.leaf(xt)
     h = T.leaky_relu(_linear(x, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(_linear(h, params["point.w2"], params["point.b2"]))
-    ctx = T.broadcast_expand(T.reduce_max_over_points(h), K)
-    fused = fuse_conditions(params, z_I, t, K)
-    feat = T.concat_last_axis([h, ctx, fused])
-    out = T.leaky_relu(_linear(feat, params["dec.w1"], params["dec.b1"]))
-    out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
-    out = _linear(out, params["dec.out_w"], params["dec.out_b"])
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite activations in decoder output")
-    return out
+    w2 = h.shape[1]
+    # the rows of dec.w1 are the blocks [h | ctx | fused] (checkpoint layout)
+    blocks = np.split(np.arange(params["dec.w1"].shape[0]), [w2, 2 * w2])
+    w_h, w_ctx, w_f = (T.gather_rows(params["dec.w1"], r) for r in blocks)
+    h_proj = T.matmul(h, w_h)
+    ctx = T.reshape(T.reduce_max_over_points(h), (1, w2))
+    ctx_bias = _linear(ctx, w_ctx, params["dec.b1"])
+
+    def decode(cond):
+        fused = fuse_conditions(params, cond, t, 1)
+        bias = T.add(ctx_bias, T.matmul(fused, w_f))
+        out = T.leaky_relu(T.add(h_proj, T.broadcast_expand(bias, K)))
+        out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
+        out = _linear(out, params["dec.out_w"], params["dec.out_b"])
+        if not np.all(np.isfinite(out.data)):
+            raise FloatingPointError("non-finite activations in decoder output")
+        return out
+
+    if guided:
+        return decode(z_I), decode(None)
+    return decode(z_I)
 
 
 def denoise(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
-            z_I: np.ndarray | None) -> np.ndarray:
-    """Forward-only evaluation (no gradients kept)."""
+            z_I: np.ndarray | None, guided: bool = False):
+    """Forward-only evaluation (no gradients kept); with guided=True,
+    returns (eps_cond, eps_uncond)."""
     with T.Tape():
-        return denoise_graph(params, xt, t, z_I).data
+        out = denoise_graph(params, xt, t, z_I, guided=guided)
+    if guided:
+        return out[0].data, out[1].data
+    return out.data
 
 
 def make_model(params: dict[str, T.DiffTensor]):
-    """Adapter for the sampling loops: model(xt, t, z_I_or_None) -> (K,3)."""
-    def model(xt, t, z_I):
-        return denoise(params, xt, t, z_I)
+    """Adapter for the sampling loops: model(xt, t, z_I_or_None) -> (K,3);
+    model(xt, t, z_I, guided=True) -> (eps_cond, eps_uncond) from one
+    shared point trunk."""
+    def model(xt, t, z_I, guided=False):
+        return denoise(params, xt, t, z_I, guided=guided)
     return model
 
 

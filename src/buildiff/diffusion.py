@@ -75,12 +75,14 @@ def ancestral_step(xt: np.ndarray, t: int, eps_guided: np.ndarray,
 
 
 def _predict(model, xt, t, z_I, gamma):
-    eps_c = model(xt, t, z_I)
+    if gamma == 0.0:
+        eps_c, eps_u = model(xt, t, z_I), None
+    else:
+        eps_c, eps_u = model(xt, t, z_I, guided=True)
     if not np.all(np.isfinite(eps_c)):
         raise FloatingPointError(f"non-finite model output at step t={t}")
-    if gamma == 0.0:
+    if eps_u is None:
         return eps_c
-    eps_u = model(xt, t, None)
     if not np.all(np.isfinite(eps_u)):
         raise FloatingPointError(f"non-finite unconditional output at t={t}")
     return guided_epsilon(eps_c, eps_u, gamma)
@@ -91,8 +93,9 @@ def sample_base(model, z_I, K: int, gamma: float, seed: int,
                 trace_stride: int = 0) -> tuple[PointCloud, SampleTrace]:
     """Full reverse chain from Gaussian noise to a K-point cloud.
 
-    model(xt, t, z_I_or_None) -> (K,3) noise prediction. Deterministic in
-    (seed, gamma, model).
+    model(xt, t, z_I_or_None) -> (K,3) noise prediction; for gamma != 0 the
+    loop calls model(xt, t, z_I, guided=True) once per step, which returns
+    (eps_cond, eps_uncond). Deterministic in (seed, gamma, model).
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -387,7 +387,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
             rng = np.random.default_rng(config.seed + {"base": 10, "upsampler": 20}[stage])
             start_epoch = 0
 
-        step = 0
+        step = state.step_count  # global: a resumed run continues the count
         with open(log_path, "a") as logfh:
             for epoch in range(start_epoch, epochs):
                 order = rng.permutation(len(data))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
-from buildiff.denoiser import (DenoiserConfig, config_from_params, denoise,
-                               denoise_graph, fuse_conditions,
+from buildiff.denoiser import (DenoiserConfig, _linear, config_from_params,
+                               denoise, denoise_graph, fuse_conditions,
                                init_denoiser_params, make_model,
                                parameter_count)
+from buildiff.diffusion import sample_base
+from buildiff.schedule import linear_beta_schedule
 
 SMALL = DenoiserConfig(d=8, w1=6, w2=10, wd=12)
 
@@ -108,6 +110,99 @@ class TestForward:
         rng = np.random.default_rng(7)
         xt = rng.normal(size=(4, 3))
         np.testing.assert_array_equal(model(xt, 3, None), denoise(p, xt, 3, None))
+
+
+def concat_forward(params, xt, t, z_I):
+    """Reference forward: the row-constant features broadcast to (K, .),
+    concatenated as [h | ctx | fused] and multiplied through all of dec.w1."""
+    K = xt.shape[0]
+    h = T.leaky_relu(_linear(T.leaf(xt), params["point.w1"], params["point.b1"]))
+    h = T.leaky_relu(_linear(h, params["point.w2"], params["point.b2"]))
+    ctx = T.broadcast_expand(T.reduce_max_over_points(h), K)
+    fused = fuse_conditions(params, z_I, t, K)
+    feat = T.concat_last_axis([h, ctx, fused])
+    out = T.leaky_relu(_linear(feat, params["dec.w1"], params["dec.b1"]))
+    out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
+    return _linear(out, params["dec.out_w"], params["dec.out_b"])
+
+
+def reference_model(params):
+    def model(xt, t, z_I, guided=False):
+        with T.Tape():
+            if guided:
+                return (concat_forward(params, xt, t, z_I).data,
+                        concat_forward(params, xt, t, None).data)
+            return concat_forward(params, xt, t, z_I).data
+    return model
+
+
+class TestFactoredForward:
+    @pytest.mark.parametrize("cfg,K", [(SMALL, 9), (DenoiserConfig(), 1024)])
+    def test_matches_concatenated_reference(self, cfg, K):
+        p = randomize_output_layer(init_denoiser_params(cfg, seed=3))
+        rng = np.random.default_rng(11)
+        xt = rng.normal(size=(K, 3))
+        z = rng.normal(size=cfg.d)
+        for cond in (z, None):
+            with T.Tape():
+                want = concat_forward(p, xt, 17, cond).data
+            np.testing.assert_allclose(denoise(p, xt, 17, cond), want,
+                                       rtol=0, atol=1e-12)
+
+    def test_gradients_match_concatenated_reference(self):
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(12)
+        xt = rng.normal(size=(7, 3))
+        target = T.leaf(rng.normal(size=(7, 3)))
+        z = rng.normal(size=8)
+        grads = []
+        for forward in (concat_forward, denoise_graph):
+            with T.Tape() as tape:
+                tape.backward(T.mse(forward(p, xt, 4, z), target))
+            grads.append({k: v.grad.copy() for k, v in p.items()
+                          if v.grad is not None})
+            for v in p.values():
+                v.grad = None
+        assert sorted(grads[0]) == sorted(grads[1])
+        for k in grads[0]:
+            np.testing.assert_allclose(grads[1][k], grads[0][k], rtol=0,
+                                       atol=1e-12, err_msg=k)
+
+    def test_guided_equals_two_calls(self):
+        p = randomize_output_layer(small_params())
+        model = make_model(p)
+        rng = np.random.default_rng(13)
+        xt = rng.normal(size=(10, 3))
+        z = rng.normal(size=8)
+        eps_c, eps_u = model(xt, 6, z, guided=True)
+        np.testing.assert_allclose(eps_c, model(xt, 6, z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eps_u, model(xt, 6, None), rtol=0, atol=1e-12)
+
+    def test_guided_call_runs_point_trunk_once(self):
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(14)
+        xt = rng.normal(size=(10, 3))
+        z = rng.normal(size=8)
+
+        def uses(tape, name):
+            return sum(any(x is p[name] for x in e.inputs) for e in tape.entries)
+
+        with T.Tape() as guided:
+            denoise_graph(p, xt, 6, z, guided=True)
+        with T.Tape() as single:
+            denoise_graph(p, xt, 6, z)
+        for name in ("point.w1", "point.w2", "dec.w1"):
+            assert uses(guided, name) == uses(single, name), name
+        # only the decoder after the first layer runs once per branch
+        assert uses(guided, "dec.w2") == 2 * uses(single, "dec.w2") == 2
+
+    def test_guided_sampling_matches_reference(self):
+        p = randomize_output_layer(small_params())
+        z = np.random.default_rng(15).normal(size=8)
+        sch = linear_beta_schedule(50)
+        got, _ = sample_base(make_model(p), z, 16, 4.0, seed=2, schedule=sch)
+        want, _ = sample_base(reference_model(p), z, 16, 4.0, seed=2, schedule=sch)
+        np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-12)
 
 
 class TestFuseConditions:

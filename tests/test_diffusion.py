@@ -136,16 +136,19 @@ class TestSamplingLoops:
         x0 = np.array([0.1, 0.2, 0.3])
         inner = analytic_point_mass_model(x0)
 
-        def counting(xt, t, z_I):
-            calls.append(z_I is None)
-            return inner(xt, t, z_I)
+        def counting(xt, t, z_I, guided=False):
+            calls.append((z_I is None, guided))
+            eps = inner(xt, t, z_I)
+            return (eps, inner(xt, t, None)) if guided else eps
 
         a, _ = sample_base(counting, "cond", 8, 0.0, seed=1, schedule=SCH)
-        n_gamma0 = len(calls)
-        assert not any(calls)  # never called unconditionally
+        # gamma=0: one plain conditional call per step, never the
+        # unconditional branch
+        assert calls == [(False, False)] * SCH.T
         calls.clear()
         b, _ = sample_base(counting, "cond", 8, 4.0, seed=1, schedule=SCH)
-        assert len(calls) == 2 * n_gamma0
+        # gamma=4: one guided call per step returns both branches
+        assert calls == [(False, True)] * SCH.T
         # eps_cond == eps_uncond for this model, so guidance is a no-op
         np.testing.assert_allclose(a.points, b.points)
 

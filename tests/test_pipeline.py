@@ -270,6 +270,24 @@ class TestRunTraining:
         for k in blob_a:
             np.testing.assert_array_equal(blob_a[k].data, blob_b[k].data)
 
+    def test_resumed_log_continues_step_count(self, tiny_dataset, tmp_path):
+        import dataclasses
+        import json
+        cfg = tiny_train_config()
+
+        def logged(out_dir):
+            lines = (out_dir / "base.log.jsonl").read_text().splitlines()
+            return [(r["epoch"], r["step"]) for r in map(json.loads, lines)]
+
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path / "a")
+        run_training(tiny_dataset, cfg, "base", tmp_path / "a")
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path / "b")
+        run_training(tiny_dataset, dataclasses.replace(cfg, epochs_base=1),
+                     "base", tmp_path / "b")
+        run_training(tiny_dataset, cfg, "base", tmp_path / "b", resume=True)
+        assert logged(tmp_path / "b") == logged(tmp_path / "a")
+        assert [s for _, s in logged(tmp_path / "a")] == [0, 1, 2, 3]
+
     def test_lock_prevents_concurrent_runs(self, tiny_dataset, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()

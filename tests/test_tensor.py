@@ -18,6 +18,27 @@ def test_leaky_relu_definition():
     np.testing.assert_allclose(out.data, [-0.01, 2.0])
 
 
+def test_leaky_relu_bitwise_equal_to_coefficient_formula():
+    """The forward and backward equal a*coef and g*coef with
+    coef = 1 where a >= 0 else slope, bit for bit, signed zeros included."""
+    rng = np.random.default_rng(0)
+    a = np.concatenate([[0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324, -1.0, 2.0],
+                        rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)])
+    g = np.concatenate([[2.0, -3.0, -0.0, 0.0, 1.5, -2.5, 4.0, -1.0],
+                        rng.normal(size=200)])
+    for slope in (0.01, 0.2, 0.5):
+        coef = np.where(a >= 0, 1.0, slope)
+        x = T.leaf(a, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.leaky_relu(x, slope=slope)
+            (gin,) = tape.entries[-1].backward_fn(g)
+        want_out, want_g = a * coef, g * coef
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(np.signbit(out.data), np.signbit(want_out))
+        assert np.array_equal(gin, want_g)
+        assert np.array_equal(np.signbit(gin), np.signbit(want_g))
+
+
 def test_leaky_relu_bad_slope():
     with T.Tape():
         with pytest.raises(ValueError):
