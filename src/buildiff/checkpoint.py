@@ -7,6 +7,7 @@ payload f64 row-major.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -40,20 +41,39 @@ def save_params(path, params: dict[str, DiffTensor | np.ndarray]) -> None:
 
 
 def load_params(path, requires_grad: bool = True) -> dict[str, DiffTensor]:
+    """Read a checkpoint; a malformed or truncated file raises
+    CheckpointError naming the path and the byte offset."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        params: dict[str, DiffTensor] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            n = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(dims).copy()
-            params[name] = DiffTensor(data, requires_grad=requires_grad)
-        return params
+    buf = memoryview(path.read_bytes())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise CheckpointError(
+                f"{path}: truncated at byte offset {len(buf)}: {what} needs "
+                f"{n} bytes at offset {pos}")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(4, "magic") != MAGIC:
+        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    params: dict[str, DiffTensor] = {}
+    for _ in range(count):
+        at = pos
+        (nlen,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = bytes(take(nlen, "name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: parameter name at byte offset {at} is not utf-8") from None
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+        n = math.prod(dims)
+        data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
+        params[name] = DiffTensor(data.reshape(dims).copy(),
+                                  requires_grad=requires_grad)
+    return params

@@ -7,10 +7,9 @@ Exit codes: 0 ok, 1 internal error, 2 missing stage dependency,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -154,17 +153,10 @@ def _cmd_eval(args) -> int:
     if missing:
         print("error: unmatched ids: " + ", ".join(missing), file=sys.stderr)
         return EXIT_MISMATCH
-    ids = sorted(preds)
-    threads = int(os.environ.get("BUILDIFF_THREADS", "4"))
-
-    def one(pair_id: str):
-        return evaluate_pair(_load_cloud(preds[pair_id]),
-                             _load_cloud(refs[pair_id]),
-                             emd_mode=args.emd_mode, seed=args.seed)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        reports = list(pool.map(one, ids))  # map preserves id order
-    rows = list(zip(ids, reports))
+    rows = [(pair_id, evaluate_pair(_load_cloud(preds[pair_id]),
+                                    _load_cloud(refs[pair_id]),
+                                    emd_mode=args.emd_mode, seed=args.seed))
+            for pair_id in sorted(preds)]
     summary = write_report_jsonl(args.out, rows)
     print(f"{'id':>12} {'CDx100':>10} {'EMDx100':>10} {'F1':>8}")
     for pair_id, rep in rows:
@@ -251,8 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_warm() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    By default glibc serves each block of 128 KiB or more with its own mmap
+    and only raises that threshold after such a block is freed. A fresh
+    process would then unmap and fault in again the ~1 MB arrays that every
+    denoiser call frees. A no-op where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_heap_warm()
     try:
         return args.fn(args)
     except StageDependencyError as exc:

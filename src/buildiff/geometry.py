@@ -1,5 +1,6 @@
 """Point cloud containers, unit-cube normalization, footprint projection,
-farthest point sampling and a small k-d tree."""
+farthest point sampling, exact nearest-neighbour search (scipy's k-d tree,
+first occurrence on duplicate rows) and PLY/XYZ/BPC I/O."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -64,105 +66,60 @@ def project_footprint(cloud: PointCloud) -> PointCloud:
 
 
 def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
-    """Greedy max-min subset of k points; the first pick is seeded-random."""
+    """Greedy max-min subset of k points; the first pick is seeded-random.
+
+    x, y and z are kept as three contiguous columns, and each squared
+    distance is formed as (dx*dx + dy*dy) + dz*dz, the order in which a row
+    sum over (n, 3) adds them, so the picks equal the row-wise loop's."""
     n = cloud.count
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for cloud of {n} points")
     rng = np.random.default_rng(seed)
     pts = cloud.points
+    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    dist = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-    for i in range(1, k):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        d = np.sum((pts - pts[nxt]) ** 2, axis=1)
+    dist = np.full(n, np.inf)
+    d = np.empty(n)
+    t = np.empty(n)
+    for i in range(k):
+        if i:
+            chosen[i] = np.argmax(dist)
+        p = chosen[i]
+        np.subtract(x, x[p], out=d)
+        np.multiply(d, d, out=d)
+        np.subtract(y, y[p], out=t)
+        np.multiply(t, t, out=t)
+        np.add(d, t, out=d)
+        np.subtract(z, z[p], out=t)
+        np.multiply(t, t, out=t)
+        np.add(d, t, out=d)
         np.minimum(dist, d, out=dist)
     meta = dict(cloud.meta)
     meta["fps_seed"] = seed
     return PointCloud(pts[chosen], meta=meta)
 
 
-class KdTree:
-    """Static 3D k-d tree; nearest() matches a linear scan, ties resolved
-    to the lowest original index."""
-
-    def __init__(self, cloud: PointCloud):
-        if cloud.count < 1:
-            raise ValueError("empty cloud")
-        self.points = cloud.points
-        n = cloud.count
-        # flattened median-split tree over index arrays
-        self._left = np.full(2 * n, -1, dtype=np.int64)
-        self._right = np.full(2 * n, -1, dtype=np.int64)
-        self._index = np.full(2 * n, -1, dtype=np.int64)
-        self._axis = np.zeros(2 * n, dtype=np.int64)
-        self._n_nodes = 0
-        self._root = self._build(np.arange(n), 0)
-
-    def _build(self, idx: np.ndarray, depth: int) -> int:
-        axis = depth % 3
-        node = self._n_nodes
-        self._n_nodes += 1
-        # stable sort keeps tie handling deterministic
-        order = np.lexsort((idx, self.points[idx, axis]))
-        idx = idx[order]
-        mid = len(idx) // 2
-        self._index[node] = idx[mid]
-        self._axis[node] = axis
-        if mid > 0:
-            self._left[node] = self._build(idx[:mid], depth + 1)
-        if mid + 1 < len(idx):
-            self._right[node] = self._build(idx[mid + 1:], depth + 1)
-        return node
-
-    def nearest(self, query) -> tuple[int, float]:
-        q = np.asarray(query, dtype=np.float64)
-        best = [-1, np.inf]
-
-        def visit(node: int):
-            if node < 0:
-                return
-            i = self._index[node]
-            d = float(np.sum((self.points[i] - q) ** 2))
-            if d < best[1] or (d == best[1] and i < best[0]):
-                best[0] = int(i)
-                best[1] = d
-            axis = self._axis[node]
-            delta = q[axis] - self.points[i, axis]
-            near, far = (self._left[node], self._right[node]) if delta < 0 \
-                else (self._right[node], self._left[node])
-            visit(near)
-            if delta * delta <= best[1]:
-                visit(far)
-
-        visit(self._root)
-        return best[0], best[1]
-
-
-def nearest(tree: KdTree, query) -> tuple[int, float]:
-    return tree.nearest(query)
-
-
 def nearest_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of a, squared distance to its nearest row of b.
-    Chunked pairwise computation; used by metrics and the footprint loss.
-    Distances are recomputed exactly at the argmin to avoid the cancellation
-    error of the expanded form."""
+    """For each row of a, squared distance to its nearest row of b; used by
+    the metrics. Distances are recomputed exactly at the nearest index."""
     idx = nearest_indices(a, b)
     return np.sum((a - b[idx]) ** 2, axis=1)
 
 
 def nearest_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index into b of the nearest neighbour of each row of a (first on ties)."""
-    out = np.empty(len(a), dtype=np.int64)
-    step = max(1, int(4e6) // max(1, len(b)))
-    for s in range(0, len(a), step):
-        block = a[s:s + step]
-        d2 = np.sum(block * block, axis=1)[:, None] \
-            + np.sum(b * b, axis=1)[None, :] - 2.0 * block @ b.T
-        out[s:s + step] = d2.argmin(axis=1)
-    return out
+    """Index into b of the nearest neighbour of each row of a: an exact
+    k-d tree search. Exact duplicate rows of b (0.0 and -0.0 compare
+    equal) resolve to their first occurrence: the tree holds only the first
+    occurrence of each distinct row, found by a stable lexsort."""
+    order = np.lexsort(b.T[::-1])
+    ranked = b[order]
+    first = np.empty(len(b), dtype=bool)
+    first[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    keep = np.sort(order[first])
+    _, idx = cKDTree(b[keep]).query(a)
+    return keep[idx]
 
 
 # ---------------------------------------------------------------- file io

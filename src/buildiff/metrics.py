@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 from .geometry import PointCloud, nearest_squared_distances, normalize_unit_cube
 
 F1_TAU = 0.001  # threshold on squared distance (see README on the convention)
-EXACT_EMD_LIMIT = 512
+EXACT_EMD_LIMIT = 2048  # Hungarian beats the auction up to n=2048
 
 
 @dataclass

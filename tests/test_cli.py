@@ -1,6 +1,6 @@
 import filecmp
 import json
-import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,19 @@ class TestSample:
         assert run(["sample", "--checkpoints", str(checkpoints),
                     "--image", str(bad), "--out", str(tmp_path / "o.ply")]) == 3
 
+    def test_truncated_checkpoint_exits_3(self, dataset, checkpoints, tmp_path,
+                                          capsys):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        blob = (ck / "base.bdif").read_bytes()
+        for cut in (10, len(blob) - 5):
+            (ck / "base.bdif").write_bytes(blob[:cut])
+            assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                        "--out", str(tmp_path / "o.ply")]) == 3
+            err = capsys.readouterr().err
+            assert str(ck / "base.bdif") in err and f"byte offset {cut}" in err
+
     def test_deterministic_given_seed(self, dataset, checkpoints, tmp_path):
         img = next((dataset / "silhouettes").glob("*.pgm"))
         outs = []
@@ -153,16 +166,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "b" in err and "c" in err
 
-    def test_thread_env_and_determinism(self, tmp_path, monkeypatch):
-        pred, ref = self.make_dirs(tmp_path, list("abcdef"), list("abcdef"))
+    def test_serial_runs_byte_identical_in_id_order(self, tmp_path):
+        ids = list("fbdaec")
+        pred, ref = self.make_dirs(tmp_path, ids, ids)
         outs = []
-        for threads, name in (("1", "r1.jsonl"), ("4", "r4.jsonl")):
-            monkeypatch.setenv("BUILDIFF_THREADS", threads)
+        for name in ("r1.jsonl", "r2.jsonl"):
             out = tmp_path / name
             assert run(["eval", "--pred", str(pred), "--ref", str(ref),
                         "--out", str(out), "--seed", "0"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        rows = [json.loads(l) for l in outs[0].decode().splitlines()]
+        assert [r["id"] for r in rows] == sorted(ids) + ["__summary__"]
 
     def test_exact_vs_approx_close(self, tmp_path):
         pred, ref = self.make_dirs(tmp_path, ["a"], ["a"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from buildiff import geometry as G
 
@@ -109,38 +110,68 @@ class TestFPS:
             assert fps_spread >= min_pairwise(cloud.points[idx]) - 1e-12
 
 
-class TestKdTree:
+def fps_row_loop(cloud, k, seed):
+    """The row-wise loop farthest_point_sample replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    pts = cloud.points
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(cloud.count)
+    dist = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        np.minimum(dist, np.sum((pts - pts[nxt]) ** 2, axis=1), out=dist)
+    return pts[chosen]
+
+
+def test_fps_bitwise_equal_to_row_loop():
+    """Random clouds, and a lattice with duplicates whose many near-equal
+    distances make the picks depend on the order of the sum."""
+    rng = np.random.default_rng(11)
+    clouds = [rng.normal(size=(4096, 3)) * scale for scale in (1.0, 1e-3, 40.0)]
+    clouds.append(rng.integers(0, 16, size=(4096, 3)) * 0.1)
+    for seed, pts in enumerate(clouds):
+        cloud = G.PointCloud(pts)
+        out = G.farthest_point_sample(cloud, 1024, seed=seed)
+        assert np.array_equal(out.points, fps_row_loop(cloud, 1024, seed))
+
+
+class TestNearestIndices:
     def test_exact_hit(self):
         rng = np.random.default_rng(7)
-        cloud = random_cloud(rng, 100)
-        tree = G.KdTree(cloud)
-        idx, d = tree.nearest(cloud.points[37])
-        assert idx == 37 and d == 0.0
+        pts = random_cloud(rng, 100).points
+        assert G.nearest_indices(pts[37:38], pts).tolist() == [37]
+        assert np.array_equal(G.nearest_indices(pts, pts), np.arange(100))
 
     def test_tie_lowest_index(self):
-        cloud = G.PointCloud([[1.0, 0, 0], [-1.0, 0, 0]])
-        idx, d = G.KdTree(cloud).nearest([0.0, 0.0, 0.0])
-        assert idx == 0
+        b = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
+        assert G.nearest_indices(np.zeros((1, 3)), b).tolist() == [0]
 
-    def test_matches_linear_scan_bulk(self):
+    def test_duplicate_rows_resolve_to_lowest_index(self):
         rng = np.random.default_rng(8)
-        cloud = random_cloud(rng, 1000)
-        tree = G.KdTree(cloud)
-        for q in rng.normal(size=(100, 3)):
-            d2 = np.sum((cloud.points - q) ** 2, axis=1)
-            assert tree.nearest(q) == (int(d2.argmin()), pytest.approx(d2.min()))
+        base = rng.normal(size=(50, 3))
+        base[:, 2] = 0.0
+        b = base[rng.integers(0, 50, size=400)]
+        b[rng.random(400) < 0.5, 2] = -0.0
+        want = [np.flatnonzero((b == row).all(axis=1))[0] for row in b]
+        assert np.array_equal(G.nearest_indices(b, b), want)
+        q = b + rng.normal(size=b.shape) * 0.01
+        assert np.array_equal(G.nearest_indices(q, b), cdist(q, b).argmin(axis=1))
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1000), n=st.integers(1, 2048))
-    def test_matches_linear_scan_property(self, seed, n):
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 512),
+           m=st.integers(1, 512), project=st.booleans(),
+           duplicates=st.booleans(), noise=st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+    def test_matches_cdist_argmin(self, seed, n, m, project, duplicates, noise):
         rng = np.random.default_rng(seed)
-        cloud = random_cloud(rng, n)
-        tree = G.KdTree(cloud)
-        for q in rng.normal(size=(5, 3)):
-            d2 = np.sum((cloud.points - q) ** 2, axis=1)
-            idx, d = tree.nearest(q)
-            assert d == pytest.approx(d2.min())
-            assert idx == int(d2.argmin())
+        b = rng.normal(size=(m, 3))
+        if duplicates:
+            b = b[rng.integers(0, m, size=m)]
+        a = b[rng.integers(0, m, size=n)] + rng.normal(size=(n, 3)) * noise
+        if project:
+            a[:, 2] = rng.choice([0.0, -0.0], size=n)
+            b[:, 2] = rng.choice([0.0, -0.0], size=m)
+        assert np.array_equal(G.nearest_indices(a, b), cdist(a, b).argmin(axis=1))
 
 
 class TestFileFormats:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildiff.geometry import PointCloud
-from buildiff.metrics import (PairReport, chamfer, emd, evaluate_pair, fscore,
-                              write_report_jsonl)
+from buildiff.metrics import (EXACT_EMD_LIMIT, PairReport, chamfer, emd,
+                              evaluate_pair, fscore, write_report_jsonl)
 
 
 def brute_chamfer(a, b):
@@ -99,7 +99,7 @@ class TestEMD:
 
     def test_exact_size_limit(self):
         rng = np.random.default_rng(5)
-        big = cloud(rng.normal(size=(600, 3)))
+        big = cloud(rng.normal(size=(EXACT_EMD_LIMIT + 1, 3)))
         with pytest.raises(ValueError, match="approx"):
             emd(big, big, mode="exact")
 

@@ -125,6 +125,42 @@ def test_reduce_max_tie_goes_to_first_index():
     np.testing.assert_allclose(a.grad, [[1.0], [0.0], [0.0]])
 
 
+def test_reduce_max_bitwise_equal_to_argmax_formula():
+    """Index, value and backward equal the np.argmax(a, axis=0) formula bit
+    for bit: random data, ties, 0.0 against -0.0 and NaN columns."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(4096, 128))
+    a[:, 0] = 0.0
+    a[1::3, 0] = -0.0
+    a[-1, 0] = -0.0  # a.max(axis=0) returns the last of equal zeros
+    a[:, 1] = -0.0
+    a[7::5, 1] = 0.0
+    a[:, 2] = rng.integers(-2, 3, size=4096)
+    a[[10, 20], 3] = 1e300
+    a[[30, 40], 4] = np.nan
+    a[:, 5] = rng.integers(0, 2, size=4096) * -0.0
+    a[:, 6] = -np.inf
+    a[::2, 7] = a[1::2, 7]
+    g = rng.normal(size=128)
+    g[:4] = [0.0, -0.0, -1.5, 2.0]
+    want_idx = np.argmax(a, axis=0)
+    cols = np.arange(128)
+    want_val = a[want_idx, cols]
+    want_g = np.zeros_like(a)
+    want_g[want_idx, cols] = g
+    x = T.leaf(a, requires_grad=True)
+    with T.Tape() as tape:
+        out = T.reduce_max_over_points(x)
+        (gin,) = tape.entries[-1].backward_fn(g)
+        (hits,) = tape.entries[-1].backward_fn(np.ones(128))
+    assert np.array_equal(hits.sum(axis=0), np.ones(128))
+    assert np.array_equal(hits.argmax(axis=0), want_idx)
+    assert np.array_equal(out.data, want_val, equal_nan=True)
+    assert np.array_equal(np.signbit(out.data), np.signbit(want_val))
+    assert np.array_equal(gin, want_g)
+    assert np.array_equal(np.signbit(gin), np.signbit(want_g))
+
+
 def test_gather_rows_negative_index_is_zero_row():
     a = T.leaf(np.arange(6.0).reshape(3, 2), requires_grad=True)
     with T.Tape() as tape:
