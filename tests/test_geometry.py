@@ -174,6 +174,32 @@ class TestNearestIndices:
         assert np.array_equal(G.nearest_indices(a, b), cdist(a, b).argmin(axis=1))
 
 
+class TestKdTree:
+    """The k-d tree behind nearest_indices against a linear scan, one query
+    at a time."""
+
+    def test_matches_linear_scan_bulk(self):
+        rng = np.random.default_rng(8)
+        cloud = random_cloud(rng, 1000)
+        for q in rng.normal(size=(100, 3)):
+            d2 = np.sum((cloud.points - q) ** 2, axis=1)
+            idx = int(G.nearest_indices(q[None], cloud.points)[0])
+            assert idx == int(d2.argmin())
+            assert d2[idx] == pytest.approx(d2.min())
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 1000), n=st.integers(1, 2048))
+    def test_matches_linear_scan_property(self, seed, n):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(rng, n)
+        queries = rng.normal(size=(5, 3))
+        got = G.nearest_indices(queries, cloud.points)
+        for q, idx in zip(queries, got):
+            d2 = np.sum((cloud.points - q) ** 2, axis=1)
+            assert d2[idx] == pytest.approx(d2.min())
+            assert idx == int(d2.argmin())
+
+
 class TestFileFormats:
     @pytest.mark.parametrize("save,load", [
         (G.save_ply, G.load_ply),
