@@ -136,57 +136,23 @@ def _finish_step(params, state, tape, loss):
     adam_step(state, params)
 
 
-def train_step_base(params, state: AdamState,
-                    batch: list[tuple[np.ndarray, ConditionEmbedding]],
-                    config: TrainConfig, schedule: NoiseSchedule,
-                    rng: np.random.Generator, epoch: int = 0,
-                    step: int = 0) -> StepLog:
-    """One optimizer step of the base diffusion over a batch of
-    (K,3)-cloud / embedding pairs, with per-sample classifier-free drop."""
+def train_step(params, state: AdamState,
+               batch: list[tuple[np.ndarray, np.ndarray, ConditionEmbedding]],
+               config: TrainConfig, schedule: NoiseSchedule,
+               rng: np.random.Generator, epoch: int = 0,
+               step: int = 0) -> StepLog:
+    """One optimizer step over a batch of (x0 (N,3), fixed (K,3), embedding)
+    triples, with per-sample classifier-free drop. The first K rows of x_t
+    are replaced by the clean `fixed` rows before the model call and are
+    excluded from the noise loss: the upsampler passes its low-res cloud,
+    the base stage a (0, 3) block such as x0[:0]."""
     if not batch:
         raise ValueError("empty batch")
     ts, lams, drops = [], [], []
     with T.Tape() as tape:
         eps_terms, reg_terms = [], []
-        for x0, emb in batch:
-            t = int(rng.integers(1, schedule.T + 1))
-            eps = rng.standard_normal(x0.shape)
-            dropped = bool(rng.random() < config.drop_prob) or emb.dropped
-            z_I = None if dropped else emb.values
-            xt = forward_noise(x0, t, eps, schedule)
-            eps_hat = denoise_graph(params, xt, t, z_I)
-            eps_terms.append(T.mse(T.leaf(eps), eps_hat))
-            x0_hat = reconstruct_x0_diff(xt, t, eps_hat, schedule)
-            reg_terms.append(regularization_loss(x0, x0_hat, t, schedule))
-            ts.append(t)
-            lams.append(lambda_weight(t, schedule.T))
-            drops.append(dropped)
-        inv = 1.0 / len(batch)
-        L_eps = T.scale(_sum(eps_terms), inv)
-        L_reg = T.scale(_sum(reg_terms), inv)
-        loss = T.add(L_eps, T.scale(L_reg, config.rho))
-        _finish_step(params, state, tape, loss)
-    return StepLog(epoch=epoch, step=step, L_eps=L_eps.item(),
-                   L_reg=L_reg.item(), L_theta=loss.item(),
-                   t_drawn=ts, lambda_drawn=lams, dropped=drops)
-
-
-def train_step_upsampler(params, state: AdamState,
-                         batch: list[tuple[np.ndarray, np.ndarray, ConditionEmbedding]],
-                         config: TrainConfig, schedule: NoiseSchedule,
-                         rng: np.random.Generator, epoch: int = 0,
-                         step: int = 0) -> StepLog:
-    """Upsampler step: batch of (x0 (N,3), lowres (K,3), embedding).
-    The first K positions are replaced by the clean low-res cloud before
-    the model call and excluded from the noise loss."""
-    if not batch:
-        raise ValueError("empty batch")
-    ts, lams, drops = [], [], []
-    with T.Tape() as tape:
-        eps_terms, reg_terms = [], []
-        for x0, lowres, emb in batch:
-            N = x0.shape[0]
-            K = lowres.shape[0]
+        for x0, fixed, emb in batch:
+            N, K = x0.shape[0], fixed.shape[0]
             if N <= K:
                 raise ValueError(f"N={N} must exceed K={K}")
             t = int(rng.integers(1, schedule.T + 1))
@@ -194,11 +160,10 @@ def train_step_upsampler(params, state: AdamState,
             dropped = bool(rng.random() < config.drop_prob) or emb.dropped
             z_I = None if dropped else emb.values
             xt = forward_noise(x0, t, eps, schedule)
-            xt[:K] = lowres
+            xt[:K] = fixed
             eps_hat = denoise_graph(params, xt, t, z_I)
-            noisy_rows = np.arange(K, N)
-            eps_hat_noisy = T.gather_rows(eps_hat, noisy_rows)
-            eps_terms.append(T.mse(T.leaf(eps[K:]), eps_hat_noisy))
+            noisy = T.gather_rows(eps_hat, np.arange(K, N)) if K else eps_hat
+            eps_terms.append(T.mse(T.leaf(eps[K:]), noisy))
             x0_hat = reconstruct_x0_diff(xt, t, eps_hat, schedule)
             reg_terms.append(regularization_loss(x0, x0_hat, t, schedule))
             ts.append(t)
@@ -301,30 +266,31 @@ def _load_training_state(path: Path, lr: float):
     return params, state, epoch, rng
 
 
-def prepare_base_data(dataset_dir: Path, config: TrainConfig,
-                      ae_params) -> list[tuple[np.ndarray, ConditionEmbedding]]:
+def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
+                     n: int) -> list[tuple[np.ndarray, ConditionEmbedding]]:
+    """(n cloud rows, silhouette embedding) per training building; the rows
+    are drawn without replacement, seeded by config.seed and the id."""
     data = []
     for row in _load_dataset(Path(dataset_dir), "train"):
         cloud = load_bpc(row["cloud_path"])
         sub_rng = np.random.default_rng(config.seed ^ zlib.crc32(row["id"].encode()))
-        idx = sub_rng.choice(cloud.count, size=config.K, replace=False)
+        idx = sub_rng.choice(cloud.count, size=n, replace=False)
         emb = encode(ae_params, load_pgm(row["silhouette_path"]))
         data.append((cloud.points[idx], emb))
     return data
 
 
+def prepare_base_data(dataset_dir: Path, config: TrainConfig, ae_params):
+    """train_step triples (x0 (K,3), no fixed rows, embedding)."""
+    return [(x0, x0[:0], emb)
+            for x0, emb in _training_clouds(dataset_dir, config, ae_params, config.K)]
+
+
 def prepare_upsampler_data(dataset_dir: Path, config: TrainConfig, ae_params):
-    data = []
-    for row in _load_dataset(Path(dataset_dir), "train"):
-        cloud = load_bpc(row["cloud_path"])
-        sub_rng = np.random.default_rng(config.seed ^ zlib.crc32(row["id"].encode()))
-        idx = sub_rng.choice(cloud.count, size=config.N, replace=False)
-        x0 = cloud.points[idx]
-        lowres = farthest_point_sample(PointCloud(x0), config.K,
-                                       seed=config.seed + 1).points
-        emb = encode(ae_params, load_pgm(row["silhouette_path"]))
-        data.append((x0, lowres, emb))
-    return data
+    """train_step triples (x0 (N,3), its K-point FPS subset, embedding)."""
+    return [(x0, farthest_point_sample(PointCloud(x0), config.K,
+                                       seed=config.seed + 1).points, emb)
+            for x0, emb in _training_clouds(dataset_dir, config, ae_params, config.N)]
 
 
 def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
@@ -365,18 +331,14 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
             raise StageDependencyError(
                 f"stage 'upsampler' requires the 'base' checkpoint first")
 
-        if stage == "base":
-            schedule = linear_beta_schedule(config.T, config.beta_1,
-                                            config.beta_T, config.sigma_mode)
-            data = prepare_base_data(dataset_dir, config, ae_params)
-            step_fn = train_step_base
-            epochs = config.epochs_base
-        else:
-            schedule = linear_beta_schedule(config.T_upsampler, config.beta_1,
-                                            config.beta_T, config.sigma_mode)
-            data = prepare_upsampler_data(dataset_dir, config, ae_params)
-            step_fn = train_step_upsampler
-            epochs = config.epochs_upsampler
+        T_stage, prepare, epochs = {
+            "base": (config.T, prepare_base_data, config.epochs_base),
+            "upsampler": (config.T_upsampler, prepare_upsampler_data,
+                          config.epochs_upsampler),
+        }[stage]
+        schedule = linear_beta_schedule(T_stage, config.beta_1,
+                                        config.beta_T, config.sigma_mode)
+        data = prepare(dataset_dir, config, ae_params)
 
         if resume and ckpt.exists():
             params, state, start_epoch, rng = _load_training_state(ckpt, config.lr)
@@ -393,8 +355,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                 order = rng.permutation(len(data))
                 for s in range(0, len(order), config.batch_size):
                     batch = [data[int(i)] for i in order[s:s + config.batch_size]]
-                    log = step_fn(params, state, batch, config, schedule, rng,
-                                  epoch=epoch, step=step)
+                    log = train_step(params, state, batch, config, schedule, rng,
+                                     epoch=epoch, step=step)
                     logfh.write(log.to_json() + "\n")
                     if log_fn is not None:
                         log_fn(epoch, log.L_theta)

@@ -11,7 +11,7 @@ from buildiff.diffusion import forward_noise, reconstruct_x0_diff
 from buildiff.optim import AdamState
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, toy_config,
-                               train_step_base, train_step_upsampler)
+                               train_step)
 from buildiff.schedule import lambda_weight, linear_beta_schedule
 
 SCH = linear_beta_schedule(100)
@@ -137,8 +137,9 @@ class TestTrainSteps:
         params = tiny_params()
         state = AdamState(params, lr=1e-3)
         rng = np.random.default_rng(4)
-        batch = [(rng.normal(size=(12, 3)), embedding(i)) for i in range(3)]
-        log = train_step_base(params, state, batch, TrainConfig(d=8), SCH, rng)
+        x0s = [rng.normal(size=(12, 3)) for _ in range(3)]
+        batch = [(x0, x0[:0], embedding(i)) for i, x0 in enumerate(x0s)]
+        log = train_step(params, state, batch, TrainConfig(d=8), SCH, rng)
         assert isinstance(log, StepLog)
         assert np.isfinite(log.L_theta)
         assert log.L_theta == pytest.approx(log.L_eps + 0.001 * log.L_reg)
@@ -151,8 +152,9 @@ class TestTrainSteps:
         before = {k: v.data.copy() for k, v in params.items()}
         state = AdamState(params, lr=1e-3)
         rng = np.random.default_rng(5)
-        batch = [(rng.normal(size=(12, 3)), embedding(0))]
-        train_step_base(params, state, batch, TrainConfig(d=8), SCH, rng)
+        x0 = rng.normal(size=(12, 3))
+        train_step(params, state, [(x0, x0[:0], embedding(0))],
+                   TrainConfig(d=8), SCH, rng)
         moved = sum(np.abs(params[k].data - before[k]).max() > 0 for k in params)
         assert moved > len(params) // 2
 
@@ -160,8 +162,8 @@ class TestTrainSteps:
         params = tiny_params()
         state = AdamState(params, lr=1e-3)
         with pytest.raises(ValueError):
-            train_step_base(params, state, [], TrainConfig(d=8), SCH,
-                            np.random.default_rng(0))
+            train_step(params, state, [], TrainConfig(d=8), SCH,
+                       np.random.default_rng(0))
 
     def test_drop_frequency(self):
         """Classifier-free drop decisions over many samples sit near the
@@ -174,8 +176,9 @@ class TestTrainSteps:
         total = 0
         x0s = [rng.normal(size=(6, 3)) for _ in range(8)]
         while total < 10_000:
-            batch = [(x0s[total % 8], embedding(total % 8)) for _ in range(8)]
-            log = train_step_base(params, state, batch, cfg, SCH, rng)
+            x0 = x0s[total % 8]
+            batch = [(x0, x0[:0], embedding(total % 8)) for _ in range(8)]
+            log = train_step(params, state, batch, cfg, SCH, rng)
             dropped += sum(log.dropped)
             total += len(log.dropped)
         assert abs(dropped / total - 0.1) <= 0.01
@@ -184,9 +187,10 @@ class TestTrainSteps:
         params = tiny_params()
         state = AdamState(params, lr=1e-6)
         rng = np.random.default_rng(7)
-        batch = [(rng.normal(size=(6, 3)), embedding(0, dropped=True))]
-        log = train_step_base(params, state, batch,
-                              TrainConfig(d=8, drop_prob=0.0), SCH, rng)
+        x0 = rng.normal(size=(6, 3))
+        batch = [(x0, x0[:0], embedding(0, dropped=True))]
+        log = train_step(params, state, batch,
+                         TrainConfig(d=8, drop_prob=0.0), SCH, rng)
         assert log.dropped == [True]
 
     def test_upsampler_step_masks_conditioning_rows(self):
@@ -201,7 +205,7 @@ class TestTrainSteps:
             params = tiny_params(seed=1)
             state = AdamState(params, lr=1e-6)
             step_rng = np.random.default_rng(99)
-            logs.append(train_step_upsampler(
+            logs.append(train_step(
                 params, state, [(x0, lowres, embedding(1))], cfg, SCH, step_rng))
         assert logs[0].L_eps == logs[1].L_eps  # deterministic under fixed rng
 
@@ -211,8 +215,8 @@ class TestTrainSteps:
         rng = np.random.default_rng(9)
         x0 = rng.normal(size=(4, 3))
         with pytest.raises(ValueError):
-            train_step_upsampler(params, state, [(x0, x0.copy(), embedding(0))],
-                                 TrainConfig(d=8), SCH, rng)
+            train_step(params, state, [(x0, x0.copy(), embedding(0))],
+                       TrainConfig(d=8), SCH, rng)
 
     def test_step_log_json(self):
         log = StepLog(epoch=1, step=2, L_eps=0.5, L_reg=0.25, L_theta=0.50025,
