@@ -129,6 +129,9 @@ def regularization_loss(x0: np.ndarray, x0_hat: T.DiffTensor, t: int,
 def _finish_step(params, state, tape, loss):
     if not np.isfinite(loss.item()):
         raise FloatingPointError("non-finite training loss")
+    # backward sets .grad only where the loss reaches: clear last step's
+    for p in params.values():
+        p.grad = None
     tape.backward(loss)
     for p in params.values():
         if p.grad is None:

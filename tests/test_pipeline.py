@@ -193,6 +193,22 @@ class TestTrainSteps:
                          TrainConfig(d=8, drop_prob=0.0), SCH, rng)
         assert log.dropped == [True]
 
+    def test_unreached_parameter_gets_zero_gradient(self):
+        """null_embed is not reached on a step without a drop: Adam must see
+        a zero gradient there, not the previous (dropped) step's."""
+        params = tiny_params()
+        state = AdamState(params, lr=1e-3)
+        rng = np.random.default_rng(10)
+        x0 = rng.normal(size=(6, 3))
+        cfg = TrainConfig(d=8, drop_prob=0.0)
+        train_step(params, state, [(x0, x0[:0], embedding(0, dropped=True))],
+                   cfg, SCH, rng)
+        assert np.abs(params["null_embed"].grad).max() > 0
+        m_dropped = state.m["null_embed"].copy()
+        train_step(params, state, [(x0, x0[:0], embedding(0))], cfg, SCH, rng)
+        assert np.array_equal(params["null_embed"].grad, np.zeros(8))
+        assert np.array_equal(state.m["null_embed"], 0.9 * m_dropped)
+
     def test_upsampler_step_masks_conditioning_rows(self):
         """With zero rho the upsampler loss must be insensitive to the values
         of the clean low-res rows' noise targets."""
