@@ -89,7 +89,6 @@ def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
 
 @lru_cache(maxsize=None)
 def _conv_indices(h: int, w: int, stride: int, dilation: int) -> np.ndarray:
-    pad = dilation  # 'same' padding for a 3x3 kernel at the given dilation
     rows = np.arange(0, h, stride)
     cols = np.arange(0, w, stride)
     idx = []
@@ -100,7 +99,6 @@ def _conv_indices(h: int, w: int, stride: int, dilation: int) -> np.ndarray:
                     rr = r + dr * dilation
                     cc = c + dc * dilation
                     idx.append(rr * w + cc if 0 <= rr < h and 0 <= cc < w else -1)
-    del pad
     return np.array(idx, dtype=np.int64)
 
 
@@ -221,7 +219,6 @@ def ae_loss(I: T.DiffTensor, I_hat: T.DiffTensor, z_I: T.DiffTensor,
 
 def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
                       lr: float = 0.0002, d: int = 128, seed: int = 0,
-                      stop_grad_augmented: bool = False,
                       log_fn=None) -> dict[str, T.DiffTensor]:
     """Train on the image list; returns the parameters (caller treats them
     as frozen afterwards)."""
@@ -240,11 +237,7 @@ def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
             with T.Tape() as tape:
                 z = _encode_graph(params, img.pixels)
                 recon = _decode_graph(params, z, size)
-                if stop_grad_augmented:
-                    with T.Tape():
-                        z_a = T.leaf(_encode_graph(params, aug.pixels).data)
-                else:
-                    z_a = _encode_graph(params, aug.pixels)
+                z_a = _encode_graph(params, aug.pixels)
                 loss = ae_loss(T.leaf(img.pixels), recon, z, z_a)
                 if not np.isfinite(loss.item()):
                     raise FloatingPointError(f"autoencoder diverged at epoch {epoch}")

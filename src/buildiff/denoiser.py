@@ -64,15 +64,6 @@ def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, T.DiffTens
     return params
 
 
-def config_from_params(params: dict[str, T.DiffTensor]) -> DenoiserConfig:
-    return DenoiserConfig(
-        d=params["null_embed"].shape[0],
-        w1=params["point.w1"].shape[1],
-        w2=params["point.w2"].shape[1],
-        wd=params["dec.w1"].shape[1],
-    )
-
-
 def _linear(x: T.DiffTensor, w: T.DiffTensor, b: T.DiffTensor) -> T.DiffTensor:
     rows = x.shape[0]
     return T.add(T.matmul(x, w), T.broadcast_expand(b, rows))
@@ -157,7 +148,3 @@ def make_model(params: dict[str, T.DiffTensor]):
     def model(xt, t, z_I, guided=False):
         return denoise(params, xt, t, z_I, guided=guided)
     return model
-
-
-def parameter_count(params: dict[str, T.DiffTensor]) -> int:
-    return sum(p.size for p in params.values())

@@ -58,13 +58,6 @@ def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, Transform]:
     return PointCloud((cloud.points - center) * scale, meta=meta), Transform(center, scale)
 
 
-def project_footprint(cloud: PointCloud) -> PointCloud:
-    """Drop every point to the ground plane z=0; x and y kept bitwise."""
-    pts = cloud.points.copy()
-    pts[:, 2] = 0.0
-    return PointCloud(pts, meta=dict(cloud.meta))
-
-
 def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
     """Greedy max-min subset of k points; the first pick is seeded-random.
 

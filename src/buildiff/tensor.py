@@ -283,29 +283,6 @@ def reshape(a: DiffTensor, shape) -> DiffTensor:
     return _make([a], a.data.reshape(shape), lambda g: (g.reshape(a.shape),))
 
 
-_DISPATCH = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat-last-axis": lambda *xs: concat_last_axis(list(xs)),
-    "leaky_relu": leaky_relu,
-    "reduce_max_over_points": reduce_max_over_points,
-    "reduce_mean": reduce_mean,
-    "mse": mse,
-    "gather_rows": gather_rows,
-    "broadcast_expand": broadcast_expand,
-}
-
-
-def op_forward(kind: str, inputs: Sequence[DiffTensor], **kwargs) -> DiffTensor:
-    """Generic dispatch over the named op kinds; records on the active tape."""
-    try:
-        fn = _DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
-
-
 # ---------------------------------------------------------------- oracle
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
-from buildiff.denoiser import (DenoiserConfig, _linear, config_from_params,
-                               denoise, denoise_graph, fuse_conditions,
-                               init_denoiser_params, make_model,
-                               parameter_count)
+from buildiff.denoiser import (DenoiserConfig, _linear, denoise, denoise_graph,
+                               fuse_conditions, init_denoiser_params,
+                               make_model)
 from buildiff.diffusion import sample_base
 from buildiff.schedule import linear_beta_schedule
 
@@ -34,12 +33,9 @@ class TestInit:
         for k in a:
             np.testing.assert_array_equal(a[k].data, b[k].data)
 
-    def test_config_round_trip(self):
-        assert config_from_params(small_params()) == SMALL
-
     def test_default_parameter_count_under_budget(self):
         p = init_denoiser_params(DenoiserConfig(), seed=0)
-        n = parameter_count(p)
+        n = sum(v.size for v in p.values())
         assert 0 < n < 2_000_000
 
 

@@ -46,22 +46,6 @@ class TestNormalize:
         assert np.abs(twice.points - once.points).max() < 1e-12
 
 
-class TestFootprint:
-    def test_definition(self):
-        out = G.project_footprint(G.PointCloud([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(out.points, [[1.0, 2.0, 0.0]])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        cloud = random_cloud(rng, 50)
-        once = G.project_footprint(cloud)
-        twice = G.project_footprint(once)
-        assert np.array_equal(once.points, twice.points)
-        assert once.count == cloud.count
-        # x, y preserved bitwise
-        assert np.array_equal(once.points[:, :2], cloud.points[:, :2])
-
-
 class TestFPS:
     def test_k_equals_count_is_permutation(self):
         rng = np.random.default_rng(2)

@@ -4,10 +4,12 @@ import pytest
 import buildiff.pipeline as P
 from buildiff import tensor as T
 from buildiff.checkpoint import load_params
-from buildiff.conditioner import ConditionEmbedding
+from buildiff.conditioner import ConditionEmbedding, init_ae_params
 from buildiff.datagen import build_dataset
-from buildiff.denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
+from buildiff.denoiser import (DenoiserConfig, denoise, denoise_graph,
+                               init_denoiser_params)
 from buildiff.diffusion import forward_noise, reconstruct_x0_diff
+from buildiff.geometry import PointCloud, farthest_point_sample
 from buildiff.optim import AdamState
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, toy_config,
@@ -210,20 +212,28 @@ class TestTrainSteps:
         assert np.array_equal(state.m["null_embed"], 0.9 * m_dropped)
 
     def test_upsampler_step_masks_conditioning_rows(self):
-        """With zero rho the upsampler loss must be insensitive to the values
-        of the clean low-res rows' noise targets."""
+        """The first K rows of x_t are the clean fixed rows, and the noise
+        loss covers rows K..N only: L_eps equals the MSE over those rows
+        of a replayed denoiser call. K=0 is the base stage."""
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=(12, 3))
-        lowres = x0[:4].copy()
+        emb = embedding(1)
         cfg = TrainConfig(d=8, rho=0.0, drop_prob=0.0)
-        logs = []
-        for trial in range(2):
+        for K in (4, 0):
+            fixed = x0[:K].copy()
             params = tiny_params(seed=1)
-            state = AdamState(params, lr=1e-6)
-            step_rng = np.random.default_rng(99)
-            logs.append(train_step(
-                params, state, [(x0, lowres, embedding(1))], cfg, SCH, step_rng))
-        assert logs[0].L_eps == logs[1].L_eps  # deterministic under fixed rng
+            log = train_step(params, AdamState(params, lr=1e-6), [(x0, fixed, emb)],
+                             cfg, SCH, np.random.default_rng(99))
+
+            replay = np.random.default_rng(99)
+            t = int(replay.integers(1, SCH.T + 1))
+            eps = replay.standard_normal(x0.shape)
+            xt = forward_noise(x0, t, eps, SCH)
+            xt[:K] = fixed
+            eps_hat = denoise(tiny_params(seed=1), xt, t, emb.values)
+            expected = np.mean((eps[K:] - eps_hat[K:]) ** 2)
+            assert log.t_drawn == [t]
+            assert log.L_eps == pytest.approx(expected, rel=1e-12, abs=0), K
 
     def test_upsampler_rejects_n_le_k(self):
         params = tiny_params()
@@ -307,6 +317,22 @@ class TestRunTraining:
         run_training(tiny_dataset, cfg, "base", tmp_path / "b", resume=True)
         assert logged(tmp_path / "b") == logged(tmp_path / "a")
         assert [s for _, s in logged(tmp_path / "a")] == [0, 1, 2, 3]
+
+    def test_prepare_data_triples(self, tiny_dataset):
+        """Both stages' data are train_step triples over the same buildings:
+        the base stage has no fixed rows, and the upsampler's fixed rows
+        are the K-point FPS subset of its x0."""
+        cfg = tiny_train_config()
+        ae = init_ae_params(cfg.d, cfg.img_size, seed=0)
+        base = P.prepare_base_data(tiny_dataset, cfg, ae)
+        up = P.prepare_upsampler_data(tiny_dataset, cfg, ae)
+        assert len(base) == len(up) == 4
+        for (xb, fb, eb), (xu, fu, eu) in zip(base, up):
+            assert xb.shape == (cfg.K, 3) and fb.shape == (0, 3)
+            assert xu.shape == (cfg.N, 3)
+            fps = farthest_point_sample(PointCloud(xu), cfg.K, seed=cfg.seed + 1)
+            np.testing.assert_array_equal(fu, fps.points)
+            np.testing.assert_array_equal(eb.values, eu.values)
 
     def test_lock_prevents_concurrent_runs(self, tiny_dataset, tmp_path):
         out = tmp_path / "locked"

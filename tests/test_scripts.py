@@ -1,0 +1,42 @@
+"""Smoke tests for the runnable scripts: each starts in a fresh interpreter
+and exits 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import buildiff
+from buildiff.datagen import build_dataset
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(buildiff.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds")
+    build_dataset(root, n_train=2, n_test=1, n_points=64, resolution=16, seed=0)
+    return root
+
+
+def test_inspect_dataset(tiny_dataset):
+    out = run_script("inspect_dataset.py", "--dataset", str(tiny_dataset),
+                     "--show", "1")
+    assert out.returncode == 0, out.stderr
+    assert "entries: 3" in out.stdout
+
+
+def test_run_toy_pipeline_help():
+    out = run_script("run_toy_pipeline.py", "--help")
+    assert out.returncode == 0, out.stderr
+    assert "usage" in out.stdout

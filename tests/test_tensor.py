@@ -8,13 +8,13 @@ from buildiff.optim import AdamState, adam_step
 
 def test_mse_identity_is_zero():
     with T.Tape():
-        out = T.op_forward("mse", [T.leaf([1.0, 2.0]), T.leaf([1.0, 2.0])])
+        out = T.mse(T.leaf([1.0, 2.0]), T.leaf([1.0, 2.0]))
     assert out.item() == 0.0
 
 
 def test_leaky_relu_definition():
     with T.Tape():
-        out = T.op_forward("leaky_relu", [T.leaf([-1.0, 2.0])], slope=0.01)
+        out = T.leaky_relu(T.leaf([-1.0, 2.0]), slope=0.01)
     np.testing.assert_allclose(out.data, [-0.01, 2.0])
 
 
@@ -181,12 +181,6 @@ def test_no_silent_broadcast():
     with T.Tape():
         with pytest.raises(T.ShapeError):
             T.add(T.leaf(np.ones((2, 2))), T.leaf(np.ones(2)))
-
-
-def test_op_forward_unknown_kind():
-    with T.Tape():
-        with pytest.raises(ValueError, match="unknown op kind"):
-            T.op_forward("conv5d", [T.leaf([1.0])])
 
 
 def _random_graph_loss(params):
