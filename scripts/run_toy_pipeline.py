@@ -23,7 +23,6 @@ from buildiff.denoiser import make_model
 from buildiff.diffusion import sample_base
 from buildiff.geometry import normalize_unit_cube, save_ply
 from buildiff.pipeline import run_training, toy_config
-from buildiff.schedule import linear_beta_schedule
 
 
 def main() -> int:
@@ -55,7 +54,7 @@ def main() -> int:
     ae = load_params(root / "ckpt/autoencoder.bdif", requires_grad=False)
     blob = load_params(root / "ckpt/base.bdif", requires_grad=False)
     model = make_model({k: v for k, v in blob.items() if not k.startswith("opt.")})
-    schedule = linear_beta_schedule(cfg.T, cfg.beta_1, cfg.beta_T, cfg.sigma_mode)
+    schedule = cfg.schedule("base")
     manifest = DatasetManifest.load(root / "data/manifest.json")
     tests = [e for e in manifest.entries if e["split"] == "test"]
 

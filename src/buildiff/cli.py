@@ -24,7 +24,6 @@ from .geometry import (PointCloud, load_bpc, load_ply, load_xyz, save_bpc,
 from .metrics import evaluate_pair, write_report_jsonl
 from .pipeline import (STAGES, StageDependencyError, TrainConfig, run_training,
                        toy_config)
-from .schedule import linear_beta_schedule
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -44,17 +43,14 @@ def _config_help() -> str:
 
 
 def _load_config(args) -> TrainConfig:
-    cfg = toy_config() if getattr(args, "toy", False) else TrainConfig()
-    if getattr(args, "config", None):
-        cfg = TrainConfig.load(args.config)
-    for item in getattr(args, "set", None) or []:
-        key, _, value = item.partition("=")
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(value))
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    """The preset, then --config, then --set, then --seed, in that order."""
+    cfg = toy_config() if args.toy else TrainConfig()
+    if args.config:
+        cfg = cfg.with_lines(Path(args.config).read_text().splitlines(),
+                             args.config)
+    cfg = cfg.with_lines(args.set or [], "--set")
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -77,13 +73,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(stage: str):
     def run(args) -> int:
-        cfg = _load_config(args)
-        try:
-            ckpt = run_training(args.dataset, cfg, stage, args.out,
-                                resume=args.resume)
-        except StageDependencyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEPENDENCY
+        ckpt = run_training(args.dataset, _load_config(args), stage, args.out,
+                            resume=args.resume)
         print(f"checkpoint written to {ckpt}")
         return EXIT_OK
     return run
@@ -112,20 +103,18 @@ def _cmd_sample(args) -> int:
         load_params(ckpt_dir / "base.bdif", requires_grad=False))
     z_I = encode(ae_params, img).values
 
-    schedule = linear_beta_schedule(cfg.T, cfg.beta_1, cfg.beta_T, cfg.sigma_mode)
     stride = args.trace_stride
     cloud, trace = sample_base(make_model(base_params), z_I, cfg.K,
-                               args.gamma, args.seed, schedule,
+                               args.gamma, args.seed, cfg.schedule("base"),
                                trace_stride=stride)
     steps = cfg.T
     if args.high_res:
         up_params = _model_params(
             load_params(ckpt_dir / "upsampler.bdif", requires_grad=False))
-        up_schedule = linear_beta_schedule(cfg.T_upsampler, cfg.beta_1,
-                                           cfg.beta_T, cfg.sigma_mode)
         cloud, trace = sample_upsampled(make_model(up_params), z_I, cloud,
                                         cfg.N, args.gamma, args.seed + 1,
-                                        up_schedule, trace_stride=stride)
+                                        cfg.schedule("upsampler"),
+                                        trace_stride=stride)
         steps += cfg.T_upsampler
     out = Path(args.out)
     saver = CLOUD_SAVERS.get(out.suffix, save_ply)
@@ -170,11 +159,7 @@ def _cmd_eval(args) -> int:
 def _cmd_export(args) -> int:
     src = Path(args.input)
     dst = Path(args.out)
-    try:
-        cloud = _load_cloud(src)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cloud = _load_cloud(src)
     saver = CLOUD_SAVERS.get(dst.suffix)
     if saver is None:
         print(f"error: unsupported output format {dst.suffix!r}", file=sys.stderr)

@@ -70,8 +70,8 @@ def _linear(x: T.DiffTensor, w: T.DiffTensor, b: T.DiffTensor) -> T.DiffTensor:
 
 
 def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
-                    t: int, K: int) -> T.DiffTensor:
-    """Build the (K, d) condition feature map from the time embedding and
+                    t: int) -> T.DiffTensor:
+    """Build the (1, d) condition feature row from the time embedding and
     the image embedding (or the learned null embedding when dropped)."""
     d = params["null_embed"].shape[0]
     if z_I is not None and len(np.asarray(z_I).reshape(-1)) != d:
@@ -83,10 +83,7 @@ def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
         cond = T.reshape(params["null_embed"], (1, d))
     else:
         cond = T.leaf(np.asarray(z_I, dtype=np.float64).reshape(1, d))
-    both = T.concat_last_axis([
-        T.broadcast_expand(cond, K),
-        T.broadcast_expand(zt, K),
-    ])
+    both = T.concat_last_axis([cond, zt])
     h = T.leaky_relu(_linear(both, params["fuse.w1"], params["fuse.b1"]))
     return T.leaky_relu(_linear(h, params["fuse.w2"], params["fuse.b2"]))
 
@@ -116,7 +113,7 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
     ctx_bias = _linear(ctx, w_ctx, params["dec.b1"])
 
     def decode(cond):
-        fused = fuse_conditions(params, cond, t, 1)
+        fused = fuse_conditions(params, cond, t)
         bias = T.add(ctx_bias, T.matmul(fused, w_f))
         out = T.leaky_relu(T.add(h_proj, T.broadcast_expand(bias, K)))
         out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))

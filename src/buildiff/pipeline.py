@@ -25,12 +25,11 @@ from .geometry import (PointCloud, farthest_point_sample, load_bpc,
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, lambda_weight, linear_beta_schedule
 
-# counts nearest-neighbour index computations inside the footprint loss;
-# lambda(t)=0 steps must not add to it
-reg_nn_queries = 0
+# written into .config files by earlier versions, read by nothing: skipped
+RETIRED_KEYS = frozenset({"gamma", "img_size", "upsampler_condition"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     T: int = 1000
     T_upsampler: int = 500
@@ -41,7 +40,6 @@ class TrainConfig:
     d: int = 128
     rho: float = 0.001
     drop_prob: float = 0.1
-    gamma: float = 4.0
     lr: float = 0.0002
     epochs_ae: int = 30
     epochs_base: int = 700
@@ -49,9 +47,47 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     sigma_mode: str = "large"
-    img_size: int = 32
     checkpoint_interval: int = 10  # epochs
-    upsampler_condition: str = "fps"  # fps | sampled
+
+    def __post_init__(self):
+        self.schedule("base")  # checks T, 0 < beta_1 < beta_T < 1, sigma_mode
+        for ok, rule in (
+                (self.T_upsampler >= 2, f"T_upsampler >= 2, got {self.T_upsampler}"),
+                (1 <= self.K < self.N, f"1 <= K < N, got K={self.K}, N={self.N}"),
+                (self.d >= 2 and self.d % 2 == 0, f"an even d >= 2, got {self.d}"),
+                (self.batch_size >= 1, f"batch_size >= 1, got {self.batch_size}"),
+                (self.checkpoint_interval >= 1,
+                 f"checkpoint_interval >= 1, got {self.checkpoint_interval}")):
+            if not ok:
+                raise ValueError(f"need {rule}")
+
+    def schedule(self, stage: str) -> NoiseSchedule:
+        """The linear beta schedule of the 'base' or 'upsampler' stage."""
+        T_stage = {"base": self.T, "upsampler": self.T_upsampler}[stage]
+        return linear_beta_schedule(T_stage, self.beta_1, self.beta_T,
+                                    self.sigma_mode)
+
+    def with_lines(self, lines, source: str) -> "TrainConfig":
+        """This config with `key=value` lines applied; blank lines, `#`
+        comments and retired keys are skipped. A bad key or value raises
+        ValueError naming `source` and the key."""
+        casts = {f.name: type(f.default) for f in dataclasses.fields(self)}
+        changes = {}
+        for line in lines:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if not key or key.startswith("#") or key in RETIRED_KEYS:
+                continue
+            if key not in casts:
+                raise ValueError(f"{source}: unknown config key {key!r}")
+            try:
+                changes[key] = casts[key](value)
+            except ValueError:
+                raise ValueError(f"{source}: {key}={value!r} is not a valid "
+                                 f"{casts[key].__name__}") from None
+        try:
+            return dataclasses.replace(self, **changes)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -60,20 +96,8 @@ class TrainConfig:
 
     @staticmethod
     def load(path) -> "TrainConfig":
-        types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-        casts = {"int": int, "float": float, "str": str}
-        kwargs = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in types:
-                    raise ValueError(f"unknown config key {key!r}")
-                kwargs[key] = casts[types[key]](value.strip())
-        return TrainConfig(**kwargs)
+        return TrainConfig().with_lines(Path(path).read_text().splitlines(),
+                                        str(path))
 
 
 def toy_config(seed: int = 0) -> TrainConfig:
@@ -106,7 +130,6 @@ def regularization_loss(x0: np.ndarray, x0_hat: T.DiffTensor, t: int,
     (the standard Chamfer subgradient). When lambda(t) is 0 the Chamfer
     computation is skipped entirely and a constant zero is returned.
     """
-    global reg_nn_queries
     if x0.shape != tuple(x0_hat.shape):
         raise ValueError(f"count mismatch: {x0.shape} vs {x0_hat.shape}")
     lam = lambda_weight(t, schedule.T)
@@ -119,7 +142,6 @@ def regularization_loss(x0: np.ndarray, x0_hat: T.DiffTensor, t: int,
     hat_vals = proj_hat.data
     idx_hat_to_gt = nearest_indices(hat_vals, gt)
     idx_gt_to_hat = nearest_indices(gt, hat_vals)
-    reg_nn_queries += len(gt) + len(hat_vals)
     # mean squared point distance = 3 * elementwise MSE over (n,3)
     term1 = T.scale(T.mse(proj_hat, T.leaf(gt[idx_hat_to_gt])), 3.0)
     term2 = T.scale(T.mse(T.gather_rows(proj_hat, idx_gt_to_hat), T.leaf(gt)), 3.0)
@@ -276,6 +298,9 @@ def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
     data = []
     for row in _load_dataset(Path(dataset_dir), "train"):
         cloud = load_bpc(row["cloud_path"])
+        if cloud.count < n:
+            raise ValueError(f"{row['cloud_path']} has {cloud.count} points, "
+                             f"fewer than the {n} the stage draws")
         sub_rng = np.random.default_rng(config.seed ^ zlib.crc32(row["id"].encode()))
         idx = sub_rng.choice(cloud.count, size=n, replace=False)
         emb = encode(ae_params, load_pgm(row["silhouette_path"]))
@@ -334,13 +359,11 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
             raise StageDependencyError(
                 f"stage 'upsampler' requires the 'base' checkpoint first")
 
-        T_stage, prepare, epochs = {
-            "base": (config.T, prepare_base_data, config.epochs_base),
-            "upsampler": (config.T_upsampler, prepare_upsampler_data,
-                          config.epochs_upsampler),
+        prepare, epochs = {
+            "base": (prepare_base_data, config.epochs_base),
+            "upsampler": (prepare_upsampler_data, config.epochs_upsampler),
         }[stage]
-        schedule = linear_beta_schedule(T_stage, config.beta_1,
-                                        config.beta_T, config.sigma_mode)
+        schedule = config.schedule(stage)
         data = prepare(dataset_dir, config, ae_params)
 
         if resume and ckpt.exists():

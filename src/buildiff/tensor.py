@@ -116,17 +116,11 @@ class Tape:
                     grads[t.node_id] = grads[t.node_id] + g
                 else:
                     grads[t.node_id] = g
-            if entry.output.requires_grad:
-                entry.output.grad = gout
         # leaves: anything left in grads plus the loss itself
         for entry in self.entries:
             for t in entry.inputs:
                 if t.requires_grad and t.node_id in grads:
                     t.grad = grads[t.node_id]
-
-
-def backward(loss: DiffTensor, tape: Tape | None = None) -> None:
-    (tape or _current_tape()).backward(loss)
 
 
 def _make(inputs, value, backward_fn) -> DiffTensor:

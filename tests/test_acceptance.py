@@ -306,11 +306,11 @@ def test_criterion_10_toy_end_to_end(toy_run):
     manifest = DatasetManifest.load(root / "data/manifest.json")
 
     rate = _roof_match_rate(trained, ae, manifest, root / "data", cfg,
-                            cfg.gamma, sch)
+                            4.0, sch)
 
     untrained = make_model(init_denoiser_params(DenoiserConfig(d=cfg.d), seed=1))
     floor = _roof_match_rate(untrained, ae, manifest, root / "data", cfg,
-                             cfg.gamma, sch)
+                             4.0, sch)
 
     elapsed = time.time() - start
     ok = rate >= 0.80 and 0.3 <= floor <= 0.7 and elapsed < 1800.0

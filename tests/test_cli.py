@@ -1,13 +1,15 @@
-import filecmp
+import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from buildiff.cli import main
+from buildiff.cli import _load_config, build_parser, main
 from buildiff.geometry import PointCloud, load_ply, save_bpc, save_ply
+from buildiff.pipeline import TrainConfig
 
 
 def run(argv):
@@ -77,6 +79,43 @@ class TestTrainOrdering:
                     "--out", str(tmp_path / "ck")] + TINY_TRAIN) == 3
 
 
+class TestConfig:
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("bad", ["checkpoint_interval=0", "K=4096", "d=7",
+                                     "batch_size=0", "sigma_mode=big", "K=abc"])
+    def test_bad_value_exits_3_before_writing(self, dataset, tmp_path, capsys,
+                                              via, bad):
+        out = tmp_path / "ck"
+        if via == "--set":
+            source, extra = "--set", ["--set", "epochs_ae=1", "--set", bad]
+        else:
+            source = str(tmp_path / "bad.cfg")
+            Path(source).write_text(f"epochs_ae=1\n{bad}\n")
+            extra = ["--config", source]
+        assert run(["train-ae", "--dataset", str(dataset),
+                    "--out", str(out)] + extra) == 3
+        assert list(out.glob("*")) == []
+        err = capsys.readouterr().err
+        key = bad.partition("=")[0]
+        assert err.startswith(f"error: {source}: ")
+        assert re.search(rf"\b{key}\b", err)
+
+    def test_parse_order(self, tmp_path):
+        """The preset, then --config, then --set, then --seed."""
+        f = tmp_path / "f.cfg"
+        f.write_text("T=7\nseed=3\n")
+
+        def load(*extra):
+            return _load_config(build_parser().parse_args(
+                ["train-ae", "--dataset", "d", "--out", "o", "--toy",
+                 "--config", str(f), *extra]))
+
+        cfg = load()
+        assert (cfg.K, cfg.sigma_mode, cfg.T, cfg.seed) == (256, "posterior", 7, 3)
+        cfg = load("--set", "T=9", "--set", "seed=4", "--seed", "5")
+        assert (cfg.K, cfg.T, cfg.seed) == (256, 9, 5)
+
+
 class TestSample:
     def test_missing_checkpoints_exits_2(self, dataset, tmp_path):
         img = next((dataset / "silhouettes").glob("*.pgm"))
@@ -101,6 +140,28 @@ class TestSample:
                         "--out", str(tmp_path / "o.ply")]) == 3
             err = capsys.readouterr().err
             assert str(ck / "base.bdif") in err and f"byte offset {cut}" in err
+
+    def test_config_with_retired_keys_samples(self, dataset, checkpoints,
+                                              tmp_path):
+        """A base.config in the format written before gamma, img_size and
+        upsampler_condition were removed still samples, bytewise as before."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        lines = (ck / "base.config").read_text().splitlines()
+        old = (lines[:9] + ["gamma=4.0"] + lines[9:16] + ["img_size=16"]
+               + lines[16:] + ["upsampler_condition=fps"])
+        (ck / "base.config").write_text("\n".join(old) + "\n")
+        assert len(dataclasses.fields(TrainConfig)) == 17
+        assert (TrainConfig.load(ck / "base.config")
+                == TrainConfig.load(checkpoints / "base.config"))
+        outs = []
+        for d in (checkpoints, ck):
+            out = tmp_path / f"{d.name}.ply"
+            assert run(["sample", "--checkpoints", str(d), "--image", str(img),
+                        "--out", str(out), "--seed", "4", "--high-res"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_deterministic_given_seed(self, dataset, checkpoints, tmp_path):
         img = next((dataset / "silhouettes").glob("*.pgm"))

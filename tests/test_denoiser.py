@@ -115,7 +115,7 @@ def concat_forward(params, xt, t, z_I):
     h = T.leaky_relu(_linear(T.leaf(xt), params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(_linear(h, params["point.w2"], params["point.b2"]))
     ctx = T.broadcast_expand(T.reduce_max_over_points(h), K)
-    fused = fuse_conditions(params, z_I, t, K)
+    fused = T.broadcast_expand(fuse_conditions(params, z_I, t), K)
     feat = T.concat_last_axis([h, ctx, fused])
     out = T.leaky_relu(_linear(feat, params["dec.w1"], params["dec.b1"]))
     out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
@@ -205,16 +205,8 @@ class TestFuseConditions:
     def test_shape(self):
         p = small_params()
         with T.Tape():
-            out = fuse_conditions(p, np.zeros(8), 4, 11)
-        assert tuple(out.shape) == (11, 8)
-
-    def test_rows_identical(self):
-        # the condition map is constant across points by construction
-        p = small_params()
-        rng = np.random.default_rng(8)
-        with T.Tape():
-            out = fuse_conditions(p, rng.normal(size=8), 4, 7).data
-        assert np.abs(out - out[0]).max() == 0.0
+            out = fuse_conditions(p, np.zeros(8), 4)
+        assert tuple(out.shape) == (1, 8)
 
 
 class TestGradients:

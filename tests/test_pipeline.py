@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from buildiff.datagen import build_dataset
 from buildiff.denoiser import (DenoiserConfig, denoise, denoise_graph,
                                init_denoiser_params)
 from buildiff.diffusion import forward_noise, reconstruct_x0_diff
-from buildiff.geometry import PointCloud, farthest_point_sample
+from buildiff.geometry import (PointCloud, farthest_point_sample,
+                               nearest_indices)
 from buildiff.optim import AdamState
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, toy_config,
@@ -51,24 +54,78 @@ class TestConfig:
         toy, full = toy_config(), TrainConfig()
         assert toy.T < full.T and toy.K < full.K and toy.d < full.d
 
+    @pytest.mark.parametrize("key, value", [
+        ("T", 1), ("T_upsampler", 1), ("beta_1", 0.5), ("beta_T", 1.0),
+        ("sigma_mode", "big"), ("K", 0), ("K", 4096), ("N", 256), ("d", 7),
+        ("d", 0), ("batch_size", 0), ("checkpoint_interval", 0)])
+    def test_bad_value_rejected_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            dataclasses.replace(toy_config(), **{key: value})
+
+    def test_bad_line_names_source_and_key(self):
+        with pytest.raises(ValueError, match=r"^src\.cfg: need 1 <= K < N, got K=4096"):
+            TrainConfig().with_lines(["K=4096"], "src.cfg")
+        with pytest.raises(ValueError, match=r"^--set: K='abc' is not a valid int"):
+            TrainConfig().with_lines(["K=abc"], "--set")
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().K = 4096
+
+    def test_retired_keys_skipped(self, tmp_path):
+        # the format written before gamma, img_size and upsampler_condition
+        # were removed: they load and change nothing
+        cfg = toy_config(seed=3)
+        cfg.save(tmp_path / "new.cfg")
+        lines = (tmp_path / "new.cfg").read_text().splitlines()
+        old = (lines[:9] + ["gamma=2.5"] + lines[9:16] + ["img_size=16"]
+               + lines[16:] + ["upsampler_condition=sampled"])
+        (tmp_path / "old.cfg").write_text("\n".join(old) + "\n")
+        assert TrainConfig.load(tmp_path / "old.cfg") == cfg
+        assert len(dataclasses.fields(TrainConfig)) == 17
+        assert not any(hasattr(cfg, k) for k in P.RETIRED_KEYS)
+
+    def test_schedule_per_stage(self):
+        cfg = toy_config()
+        for stage, T_stage in (("base", cfg.T), ("upsampler", cfg.T_upsampler)):
+            want = linear_beta_schedule(T_stage, cfg.beta_1, cfg.beta_T,
+                                        cfg.sigma_mode)
+            got = cfg.schedule(stage)
+            assert got.T == T_stage
+            np.testing.assert_array_equal(got.betas, want.betas)
+            np.testing.assert_array_equal(got.sigmas, want.sigmas)
+
+
+@pytest.fixture
+def nn_query_rows(monkeypatch):
+    """Counts the query rows the footprint loss sends to nearest_indices."""
+    rows = [0]
+
+    def counting(a, b):
+        rows[0] += len(a)
+        return nearest_indices(a, b)
+
+    monkeypatch.setattr(P, "nearest_indices", counting)
+    return rows
+
 
 class TestRegularizationLoss:
-    def test_lambda_zero_skips_nn_and_returns_zero(self):
+    def test_lambda_zero_skips_nn_and_returns_zero(self, nn_query_rows):
         x0 = np.random.default_rng(0).normal(size=(8, 3))
-        before = P.reg_nn_queries
         with T.Tape():
             hat = T.leaf(x0 + 1.0)
             # T=100: lambda is 0 for t > 75
             out = regularization_loss(x0, hat, 90, SCH)
         assert out.item() == 0.0
-        assert P.reg_nn_queries == before
+        assert nn_query_rows[0] == 0
 
-    def test_lambda_positive_counts_queries(self):
+    def test_lambda_positive_counts_queries(self, nn_query_rows):
         x0 = np.random.default_rng(1).normal(size=(8, 3))
-        before = P.reg_nn_queries
         with T.Tape():
             regularization_loss(x0, T.leaf(x0 + 0.1), 1, SCH)
-        assert P.reg_nn_queries == before + 16
+        assert nn_query_rows[0] == 16
 
     def test_hand_example_unit_offset(self):
         # x0 on a line, prediction shifted by (1, 0, 0): footprint Chamfer is
@@ -262,7 +319,7 @@ def tiny_dataset(tmp_path_factory):
 def tiny_train_config():
     return TrainConfig(T=10, T_upsampler=8, K=16, N=32, d=8, epochs_ae=2,
                        epochs_base=2, epochs_upsampler=1, batch_size=2,
-                       img_size=16, checkpoint_interval=1, seed=0)
+                       checkpoint_interval=1, seed=0)
 
 
 class TestRunTraining:
@@ -289,7 +346,6 @@ class TestRunTraining:
         # interrupted run: stop the base stage after epoch 1, then resume
         b_dir = tmp_path / "b"
         run_training(tiny_dataset, cfg, "autoencoder", b_dir)
-        import dataclasses
         half = dataclasses.replace(cfg, epochs_base=1)
         run_training(tiny_dataset, half, "base", b_dir)
         run_training(tiny_dataset, cfg, "base", b_dir, resume=True)
@@ -301,7 +357,6 @@ class TestRunTraining:
             np.testing.assert_array_equal(blob_a[k].data, blob_b[k].data)
 
     def test_resumed_log_continues_step_count(self, tiny_dataset, tmp_path):
-        import dataclasses
         import json
         cfg = tiny_train_config()
 
@@ -323,7 +378,7 @@ class TestRunTraining:
         the base stage has no fixed rows, and the upsampler's fixed rows
         are the K-point FPS subset of its x0."""
         cfg = tiny_train_config()
-        ae = init_ae_params(cfg.d, cfg.img_size, seed=0)
+        ae = init_ae_params(cfg.d, 16, seed=0)
         base = P.prepare_base_data(tiny_dataset, cfg, ae)
         up = P.prepare_upsampler_data(tiny_dataset, cfg, ae)
         assert len(base) == len(up) == 4
@@ -333,6 +388,16 @@ class TestRunTraining:
             fps = farthest_point_sample(PointCloud(xu), cfg.K, seed=cfg.seed + 1)
             np.testing.assert_array_equal(fu, fps.points)
             np.testing.assert_array_equal(eb.values, eu.values)
+
+    def test_cloud_smaller_than_stage_draw(self, tiny_dataset):
+        """A stage that draws more rows than a cloud has names the cloud
+        file and both counts (the tiny clouds have 96 points)."""
+        cfg = dataclasses.replace(tiny_train_config(), K=100, N=200)
+        ae = init_ae_params(cfg.d, 16, seed=0)
+        with pytest.raises(ValueError, match=r"\.bpc has 96 points, fewer than the 100 "):
+            P.prepare_base_data(tiny_dataset, cfg, ae)
+        with pytest.raises(ValueError, match=r"\.bpc has 96 points, fewer than the 200 "):
+            P.prepare_upsampler_data(tiny_dataset, cfg, ae)
 
     def test_lock_prevents_concurrent_runs(self, tiny_dataset, tmp_path):
         out = tmp_path / "locked"
