@@ -98,6 +98,12 @@ def _cmd_sample(args) -> int:
         print(f"error: cannot read image: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = TrainConfig.load(ckpt_dir / "base.config")
+    if args.high_res:
+        up_cfg = TrainConfig.load(ckpt_dir / "upsampler.config")
+        if up_cfg.K != cfg.K:
+            print(f"error: upsampler.config has K={up_cfg.K} but base.config "
+                  f"has K={cfg.K} in {ckpt_dir}", file=sys.stderr)
+            return EXIT_MISMATCH
     ae_params = load_params(ckpt_dir / "autoencoder.bdif", requires_grad=False)
     base_params = _model_params(
         load_params(ckpt_dir / "base.bdif", requires_grad=False))
@@ -112,10 +118,10 @@ def _cmd_sample(args) -> int:
         up_params = _model_params(
             load_params(ckpt_dir / "upsampler.bdif", requires_grad=False))
         cloud, trace = sample_upsampled(make_model(up_params), z_I, cloud,
-                                        cfg.N, args.gamma, args.seed + 1,
-                                        cfg.schedule("upsampler"),
+                                        up_cfg.N, args.gamma, args.seed + 1,
+                                        up_cfg.schedule("upsampler"),
                                         trace_stride=stride)
-        steps += cfg.T_upsampler
+        steps += up_cfg.T_upsampler
     out = Path(args.out)
     saver = CLOUD_SAVERS.get(out.suffix, save_ply)
     saver(out, cloud)

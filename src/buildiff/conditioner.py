@@ -189,19 +189,19 @@ def _decode_graph(params, z: T.DiffTensor, img_size: int) -> T.DiffTensor:
 
 
 def encode(params: dict[str, T.DiffTensor], img: SilhouetteImage) -> ConditionEmbedding:
+    """Forward-only: buildiff calls it outside any Tape, so it keeps no graph."""
     size = _expected_size(params)
     if img.height != size or img.width != size:
         raise ValueError(f"expected {size}x{size} image, got {img.height}x{img.width}")
-    with T.Tape():
-        z = _encode_graph(params, img.pixels)
+    z = _encode_graph(params, img.pixels)
     return ConditionEmbedding(z.data.reshape(-1))
 
 
 def decode(params: dict[str, T.DiffTensor], z: ConditionEmbedding) -> SilhouetteImage:
+    """Forward-only, like encode."""
     size = _expected_size(params)
-    with T.Tape():
-        zt = T.leaf(z.values.reshape(1, -1))
-        img = _decode_graph(params, zt, size)
+    zt = T.leaf(z.values.reshape(1, -1))
+    img = _decode_graph(params, zt, size)
     return SilhouetteImage(img.data)
 
 

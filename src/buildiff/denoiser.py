@@ -129,10 +129,9 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
 
 def denoise(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
             z_I: np.ndarray | None, guided: bool = False):
-    """Forward-only evaluation (no gradients kept); with guided=True,
-    returns (eps_cond, eps_uncond)."""
-    with T.Tape():
-        out = denoise_graph(params, xt, t, z_I, guided=guided)
+    """Forward-only: buildiff calls it outside any Tape, so it keeps no
+    graph. With guided=True, returns (eps_cond, eps_uncond)."""
+    out = denoise_graph(params, xt, t, z_I, guided=guided)
     if guided:
         return out[0].data, out[1].data
     return out.data

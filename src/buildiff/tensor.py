@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Everything trainable in this project (denoiser, conditioner, losses) is
-expressed through the op set below. Ops are recorded on a thread-local
-Tape; ``backward`` walks the tape in reverse and overwrites gradients.
+expressed through the op set below. Ops record only inside ``with Tape():``,
+on a thread-local Tape; outside one they keep no graph, as sampling runs.
+``backward`` walks the tape in reverse and overwrites gradients.
 No implicit broadcasting: shapes must match exactly except through the
 explicit ``broadcast_expand`` op.
 """
@@ -19,13 +20,6 @@ _tls = threading.local()
 
 class ShapeError(ValueError):
     pass
-
-
-def _current_tape() -> "Tape":
-    tape = getattr(_tls, "tape", None)
-    if tape is None:
-        raise RuntimeError("no active Tape; wrap the computation in 'with Tape():'")
-    return tape
 
 
 class DiffTensor:
@@ -125,7 +119,9 @@ class Tape:
 
 def _make(inputs, value, backward_fn) -> DiffTensor:
     out = DiffTensor(value)
-    _current_tape().record(inputs, out, backward_fn)
+    tape = getattr(_tls, "tape", None)
+    if tape is not None:
+        tape.record(inputs, out, backward_fn)
     return out
 
 

@@ -1,5 +1,25 @@
 import sys
 
+import pytest
+
+from buildiff import tensor as T
+
+
+@pytest.fixture
+def recorded_ops(monkeypatch):
+    """Counts the tape entries recorded while a test runs: ``recorded_ops()``
+    is the count so far."""
+    count = 0
+    record = T.Tape.record
+
+    def counting(self, *args):
+        nonlocal count
+        count += 1
+        return record(self, *args)
+
+    monkeypatch.setattr(T.Tape, "record", counting)
+    return lambda: count
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance-criterion verdict lines after the test summary so

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from buildiff.cli import _load_config, build_parser, main
-from buildiff.geometry import PointCloud, load_ply, save_bpc, save_ply
+from buildiff.geometry import PointCloud, load_bpc, load_ply, save_bpc, save_ply
 from buildiff.pipeline import TrainConfig
 
 
@@ -44,6 +44,21 @@ def checkpoints(dataset, tmp_path_factory):
         assert run([cmd, "--dataset", str(dataset), "--out", str(ck),
                     "--seed", "0"] + TINY_TRAIN) == 0
     return ck
+
+
+@pytest.fixture(scope="module")
+def base_at_n256(tmp_path_factory):
+    """A 128-point dataset, with the autoencoder and the base stage trained
+    at N=256 and T_upsampler=8; the upsampler is left to each test."""
+    root = tmp_path_factory.mktemp("cli_n256")
+    data, ck = root / "data", root / "ck"
+    assert run(["gen-data", "--out", str(data), "--n-train", "4",
+                "--n-test", "1", "--n-points", "128", "--resolution", "16",
+                "--seed", "0"]) == 0
+    for cmd in ("train-ae", "train-base"):
+        assert run([cmd, "--dataset", str(data), "--out", str(ck), "--seed", "0"]
+                   + TINY_TRAIN + ["--set", "N=256"]) == 0
+    return data, ck
 
 
 class TestGenData:
@@ -183,11 +198,41 @@ class TestSample:
         assert run(["sample", "--checkpoints", str(checkpoints),
                     "--image", str(img), "--out", str(high), "--seed", "3",
                     "--high-res"]) == 0
-        from buildiff.geometry import load_bpc
         lo = load_bpc(low)
         hi = load_bpc(high)
         assert lo.count == 16 and hi.count == 32
         np.testing.assert_array_equal(hi.points[:16], lo.points)
+
+    @staticmethod
+    def _with_upsampler(base_at_n256, tmp_path, overrides):
+        data, base_ck = base_at_n256
+        ck = tmp_path / "ck"
+        shutil.copytree(base_ck, ck)
+        assert run(["train-upsampler", "--dataset", str(data), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN + overrides) == 0
+        return ck, next((data / "silhouettes").glob("*.pgm"))
+
+    def test_high_res_reads_upsampler_config(self, base_at_n256, tmp_path,
+                                             capsys):
+        """N and T_upsampler come from upsampler.config, not base.config."""
+        ck, img = self._with_upsampler(
+            base_at_n256, tmp_path, ["--set", "N=128", "--set", "T_upsampler=6"])
+        out = tmp_path / "o.bpc"
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(out), "--seed", "2", "--high-res"]) == 0
+        assert load_bpc(out).count == 128
+        assert " steps=16 " in capsys.readouterr().out  # T=10 base + 6 upsampler
+
+    def test_high_res_k_mismatch_exits_4(self, base_at_n256, tmp_path, capsys):
+        ck, img = self._with_upsampler(base_at_n256, tmp_path, ["--set", "K=8"])
+        out = tmp_path / "o.bpc"
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(out), "--high-res"]) == 4
+        err = capsys.readouterr().err
+        assert "K=8" in err and "K=16" in err
+        assert not out.exists()
 
     def test_trace_export(self, dataset, checkpoints, tmp_path):
         img = next((dataset / "silhouettes").glob("*.pgm"))

@@ -98,6 +98,11 @@ class TestEncodeDecode:
         assert recon.pixels.shape == (16, 16)
         assert recon.pixels.min() >= 0.0 and recon.pixels.max() <= 1.0
 
+    def test_encode_decode_record_nothing(self, recorded_ops):
+        params = init_ae_params(d=16, img_size=16, seed=0)
+        decode(params, encode(params, checker(16)))
+        assert recorded_ops() == 0
+
     def test_encode_deterministic(self):
         params = init_ae_params(d=16, img_size=16, seed=0)
         img = checker(16)

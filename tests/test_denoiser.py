@@ -100,6 +100,19 @@ class TestForward:
         with pytest.raises(ValueError):
             denoise(p, np.zeros((4, 2)), 1, None)
 
+    def test_denoise_records_nothing(self, recorded_ops):
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(8)
+        xt = rng.normal(size=(9, 3))
+        z = rng.normal(size=8)
+        denoise(p, xt, 3, z, guided=True)
+        denoise(p, xt, 3, z)
+        denoise(p, xt, 3, None)
+        assert recorded_ops() == 0
+        with T.Tape():  # the counter does see a training forward
+            denoise_graph(p, xt, 3, z, guided=True)
+        assert recorded_ops() > 0
+
     def test_make_model_adapter(self):
         p = randomize_output_layer(small_params())
         model = make_model(p)

@@ -183,6 +183,50 @@ def test_no_silent_broadcast():
             T.add(T.leaf(np.ones((2, 2))), T.leaf(np.ones(2)))
 
 
+OP_CASES = {
+    "add": lambda a, b: T.add(a, b),
+    "mul": lambda a, b: T.mul(a, b),
+    "scale": lambda a, b: T.scale(a, -0.3),
+    "sub": lambda a, b: T.sub(a, b),
+    "matmul": lambda a, b: T.matmul(a, T.reshape(b, (4, 3))),
+    "concat_last_axis": lambda a, b: T.concat_last_axis([a, b, a]),
+    "leaky_relu": lambda a, b: T.leaky_relu(a, slope=0.2),
+    "sigmoid": lambda a, b: T.sigmoid(a),
+    "reduce_max_over_points": lambda a, b: T.reduce_max_over_points(a),
+    "reduce_mean": lambda a, b: T.reduce_mean(a),
+    "reduce_sum": lambda a, b: T.reduce_sum(a),
+    "mse": lambda a, b: T.mse(a, b),
+    "gather_rows": lambda a, b: T.gather_rows(a, [2, -1, 0, 0]),
+    "broadcast_expand": lambda a, b: T.broadcast_expand(T.reduce_sum(b), 3),
+    "reshape": lambda a, b: T.reshape(a, (4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_outside_tape_equals_recorded(name):
+    """Outside a Tape an op returns the bits it returns inside one, signed
+    zeros included."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 4))
+    a[0, :2] = [0.0, -0.0]
+    b = rng.normal(size=(3, 4))
+    args = (T.leaf(a, requires_grad=True), T.leaf(b, requires_grad=True))
+    with T.Tape() as tape:
+        inside = OP_CASES[name](*args)
+    assert tape.entries
+    outside = OP_CASES[name](*args)
+    assert outside.data.shape == inside.data.shape
+    assert np.array_equal(outside.data, inside.data)
+    assert np.array_equal(np.signbit(outside.data), np.signbit(inside.data))
+
+
+def test_ops_outside_tape_record_nothing(recorded_ops):
+    a = T.leaf(np.ones((3, 4)), requires_grad=True)
+    for op in OP_CASES.values():
+        op(a, a)
+    assert recorded_ops() == 0
+
+
 def _random_graph_loss(params):
     a, b, w = params
     with T.Tape() as tape:
