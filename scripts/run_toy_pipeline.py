@@ -66,7 +66,7 @@ def main() -> int:
             z = encode(ae, load_pgm(root / "data" / entry["silhouette"])).values
             cloud, _ = sample_base(model, z, cfg.K, gamma,
                                    seed=3000 + i, schedule=schedule)
-            norm, _ = normalize_unit_cube(cloud)
+            norm = normalize_unit_cube(cloud)
             preds.append(roof_oracle(norm))
             if args.keep_samples:
                 sdir = root / "samples" / f"gamma{gamma:g}"

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .optim import AdamState, adam_step
+from .optim import AdamState, backward_and_step
 
 
 @dataclass
@@ -84,7 +84,7 @@ def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
 # ------------------------------------------------------------ conv plumbing
 #
 # Feature maps are (H*W, C) tensors; convolution is an im2col gather (index
-# -1 marks zero padding) followed by a matmul with a (9*Cin, Cout) kernel.
+# -1 marks zero padding) followed by a linear map with a (9*Cin, Cout) kernel.
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +117,7 @@ def _conv(x: T.DiffTensor, wgt: T.DiffTensor, bias: T.DiffTensor,
     cols = T.gather_rows(x, _conv_indices(h, w, stride, dilation))
     n_out = cols.shape[0] // 9
     cols = T.reshape(cols, (n_out, 9 * cin))
-    return T.add(T.matmul(cols, wgt), T.broadcast_expand(bias, n_out))
+    return T.linear(cols, wgt, bias)
 
 
 ENC_CHANNELS = (8, 16, 32)
@@ -166,15 +166,13 @@ def _encode_graph(params, pixels: np.ndarray) -> T.DiffTensor:
     h //= 2; w //= 2
     x = T.leaky_relu(_conv(x, params["enc.c4"], params["enc.b4"], h, w, dilation=2))
     flat = T.reshape(x, (1, h * w * x.shape[1]))
-    return T.add(T.matmul(flat, params["enc.proj"]),
-                 T.reshape(params["enc.projb"], (1, params["enc.projb"].shape[0])))
+    return T.linear(flat, params["enc.proj"], params["enc.projb"])
 
 
 def _decode_graph(params, z: T.DiffTensor, img_size: int) -> T.DiffTensor:
     c1, c2, c3 = ENC_CHANNELS
     h = w = img_size // 8
-    x = T.add(T.matmul(z, params["dec.lin"]),
-              T.reshape(params["dec.linb"], (1, params["dec.linb"].shape[0])))
+    x = T.linear(z, params["dec.lin"], params["dec.linb"])
     x = T.leaky_relu(T.reshape(x, (h * w, c3)))
     x = T.gather_rows(x, _upsample_indices(h, w))
     h *= 2; w *= 2
@@ -241,11 +239,7 @@ def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
                 loss = ae_loss(T.leaf(img.pixels), recon, z, z_a)
                 if not np.isfinite(loss.item()):
                     raise FloatingPointError(f"autoencoder diverged at epoch {epoch}")
-                tape.backward(loss)
-            for p in params.values():
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-            adam_step(state, params)
+                backward_and_step(state, params, tape, loss)
             total += loss.item()
         if log_fn is not None:
             log_fn(epoch, total / len(images))

@@ -204,7 +204,7 @@ def sample_surface(mesh: Mesh, n: int, seed: int,
     pts = a + u[:, None] * (b - a) + v[:, None] * (c - a)
     cloud = PointCloud(pts, meta={"sample_seed": seed})
     if normalize:
-        cloud, _ = normalize_unit_cube(cloud)
+        cloud = normalize_unit_cube(cloud)
     return cloud
 
 

@@ -64,11 +64,6 @@ def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, T.DiffTens
     return params
 
 
-def _linear(x: T.DiffTensor, w: T.DiffTensor, b: T.DiffTensor) -> T.DiffTensor:
-    rows = x.shape[0]
-    return T.add(T.matmul(x, w), T.broadcast_expand(b, rows))
-
-
 def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
                     t: int) -> T.DiffTensor:
     """Build the (1, d) condition feature row from the time embedding and
@@ -77,15 +72,15 @@ def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
     if z_I is not None and len(np.asarray(z_I).reshape(-1)) != d:
         raise ValueError(f"condition dim {len(z_I)} != d={d}")
     zt = T.leaf(sinusoidal_embedding(t, d).reshape(1, d))
-    zt = T.leaky_relu(_linear(zt, params["time.w1"], params["time.b1"]))
-    zt = T.leaky_relu(_linear(zt, params["time.w2"], params["time.b2"]))
+    zt = T.leaky_relu(T.linear(zt, params["time.w1"], params["time.b1"]))
+    zt = T.leaky_relu(T.linear(zt, params["time.w2"], params["time.b2"]))
     if z_I is None:
         cond = T.reshape(params["null_embed"], (1, d))
     else:
         cond = T.leaf(np.asarray(z_I, dtype=np.float64).reshape(1, d))
     both = T.concat_last_axis([cond, zt])
-    h = T.leaky_relu(_linear(both, params["fuse.w1"], params["fuse.b1"]))
-    return T.leaky_relu(_linear(h, params["fuse.w2"], params["fuse.b2"]))
+    h = T.leaky_relu(T.linear(both, params["fuse.w1"], params["fuse.b1"]))
+    return T.leaky_relu(T.linear(h, params["fuse.w2"], params["fuse.b2"]))
 
 
 def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
@@ -95,29 +90,29 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
     The max-pool context and the fused time/condition features are the same
     on every row, so they are computed once as (1, .) rows and enter the
     first decoder layer as one bias row: ctx@W_ctx + fused@W_f + dec.b1,
-    added to h@W_h. With guided=True the unconditional branch is decoded
-    from the same point trunk, and (eps_cond, eps_uncond) is returned.
+    added to h@W_h. With guided=True the unconditional branch shares the
+    point MLP and the max-pool context, then runs the whole decoder,
+    h@W_h included, like the conditional one; (eps_cond, eps_uncond) is
+    returned.
     """
     if xt.ndim != 2 or xt.shape[1] != 3:
         raise ValueError(f"xt must be (K,3), got {xt.shape}")
-    K = xt.shape[0]
     x = T.leaf(xt)
-    h = T.leaky_relu(_linear(x, params["point.w1"], params["point.b1"]))
-    h = T.leaky_relu(_linear(h, params["point.w2"], params["point.b2"]))
+    h = T.leaky_relu(T.linear(x, params["point.w1"], params["point.b1"]))
+    h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
     w2 = h.shape[1]
     # the rows of dec.w1 are the blocks [h | ctx | fused] (checkpoint layout)
     blocks = np.split(np.arange(params["dec.w1"].shape[0]), [w2, 2 * w2])
     w_h, w_ctx, w_f = (T.gather_rows(params["dec.w1"], r) for r in blocks)
-    h_proj = T.matmul(h, w_h)
     ctx = T.reshape(T.reduce_max_over_points(h), (1, w2))
-    ctx_bias = _linear(ctx, w_ctx, params["dec.b1"])
+    ctx_bias = T.linear(ctx, w_ctx, params["dec.b1"])
 
     def decode(cond):
         fused = fuse_conditions(params, cond, t)
-        bias = T.add(ctx_bias, T.matmul(fused, w_f))
-        out = T.leaky_relu(T.add(h_proj, T.broadcast_expand(bias, K)))
-        out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
-        out = _linear(out, params["dec.out_w"], params["dec.out_b"])
+        bias = T.linear(fused, w_f, ctx_bias)
+        out = T.leaky_relu(T.linear(h, w_h, bias))
+        out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
+        out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
         if not np.all(np.isfinite(out.data)):
             raise FloatingPointError("non-finite activations in decoder output")
         return out

@@ -30,18 +30,7 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class Transform:
-    """Record of a normalize_unit_cube call; invert() maps back exactly."""
-    center: np.ndarray
-    scale: float
-
-    def invert(self, cloud: PointCloud) -> PointCloud:
-        return PointCloud(cloud.points / self.scale + self.center,
-                          meta=dict(cloud.meta))
-
-
-def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, Transform]:
+def normalize_unit_cube(cloud: PointCloud) -> PointCloud:
     """Center at the bounding-box center and scale uniformly so the largest
     axis range spans [-1, 1]. Aspect ratio is preserved."""
     if cloud.count < 1:
@@ -55,7 +44,7 @@ def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, Transform]:
     scale = 2.0 / extent
     meta = dict(cloud.meta)
     meta["normalized"] = True
-    return PointCloud((cloud.points - center) * scale, meta=meta), Transform(center, scale)
+    return PointCloud((cloud.points - center) * scale, meta=meta)
 
 
 def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:

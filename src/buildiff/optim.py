@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DiffTensor
+from .tensor import DiffTensor, Tape
 
 
 class AdamState:
@@ -36,3 +36,17 @@ def adam_step(state: AdamState, params: dict[str, DiffTensor]) -> None:
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def backward_and_step(state: AdamState, params: dict[str, DiffTensor],
+                      tape: Tape, loss: DiffTensor) -> None:
+    """Backpropagate loss over tape and take one Adam step. backward sets
+    .grad only where the loss reaches, so every gradient is cleared first
+    and an unreached parameter steps on zeros, never on a stale gradient."""
+    for p in params.values():
+        p.grad = None
+    tape.backward(loss)
+    for p in params.values():
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+    adam_step(state, params)

@@ -22,7 +22,7 @@ from .diffusion import forward_noise, reconstruct_x0_diff
 from .datagen import DatasetManifest
 from .geometry import (PointCloud, farthest_point_sample, load_bpc,
                        nearest_indices)
-from .optim import AdamState, adam_step
+from .optim import AdamState, backward_and_step
 from .schedule import NoiseSchedule, lambda_weight, linear_beta_schedule
 
 # written into .config files by earlier versions, read by nothing: skipped
@@ -148,19 +148,6 @@ def regularization_loss(x0: np.ndarray, x0_hat: T.DiffTensor, t: int,
     return T.scale(T.add(term1, term2), lam)
 
 
-def _finish_step(params, state, tape, loss):
-    if not np.isfinite(loss.item()):
-        raise FloatingPointError("non-finite training loss")
-    # backward sets .grad only where the loss reaches: clear last step's
-    for p in params.values():
-        p.grad = None
-    tape.backward(loss)
-    for p in params.values():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-    adam_step(state, params)
-
-
 def train_step(params, state: AdamState,
                batch: list[tuple[np.ndarray, np.ndarray, ConditionEmbedding]],
                config: TrainConfig, schedule: NoiseSchedule,
@@ -198,7 +185,9 @@ def train_step(params, state: AdamState,
         L_eps = T.scale(_sum(eps_terms), inv)
         L_reg = T.scale(_sum(reg_terms), inv)
         loss = T.add(L_eps, T.scale(L_reg, config.rho))
-        _finish_step(params, state, tape, loss)
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError("non-finite training loss")
+        backward_and_step(state, params, tape, loss)
     return StepLog(epoch=epoch, step=step, L_eps=L_eps.item(),
                    L_reg=L_reg.item(), L_theta=loss.item(),
                    t_drawn=ts, lambda_drawn=lams, dropped=drops)

@@ -4,8 +4,8 @@ Everything trainable in this project (denoiser, conditioner, losses) is
 expressed through the op set below. Ops record only inside ``with Tape():``,
 on a thread-local Tape; outside one they keep no graph, as sampling runs.
 ``backward`` walks the tape in reverse and overwrites gradients.
-No implicit broadcasting: shapes must match exactly except through the
-explicit ``broadcast_expand`` op.
+No implicit broadcasting: shapes must match exactly. A bias row enters
+only through ``linear``, the one affine op; no other op broadcasts.
 """
 
 from __future__ import annotations
@@ -152,11 +152,20 @@ def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _make([a, b], a.data - b.data, lambda g: (g, -g))
 
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    return _make([a, b], ad @ bd, lambda g: (g @ bd.T, ad.T @ g))
+def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """Affine map x@W + b of a (K, Cin) tensor, with b of shape (C,) or
+    (1, C) added to every row; its gradient sums the rows of g."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+
+    def bwd(g):
+        return (g @ wd.T, xd.T @ g, g.sum(axis=0).reshape(b.shape))
+
+    return _make([x, w, b], out, bwd)
 
 
 def concat_last_axis(parts: Sequence[DiffTensor]) -> DiffTensor:
@@ -222,17 +231,6 @@ def reduce_max_over_points(a: DiffTensor) -> DiffTensor:
     return _make([a], val, bwd)
 
 
-def reduce_mean(a: DiffTensor) -> DiffTensor:
-    n = a.data.size
-    return _make([a], np.array(a.data.mean()),
-                 lambda g: (np.full_like(a.data, g.item() / n),))
-
-
-def reduce_sum(a: DiffTensor) -> DiffTensor:
-    return _make([a], np.array(a.data.sum()),
-                 lambda g: (np.full_like(a.data, g.item()),))
-
-
 def mse(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.shape != b.shape:
         raise ShapeError(f"mse: shapes {a.shape} vs {b.shape}")
@@ -259,13 +257,6 @@ def gather_rows(a: DiffTensor, indices) -> DiffTensor:
         return (ga,)
 
     return _make([a], out, bwd)
-
-
-def broadcast_expand(a: DiffTensor, rows: int) -> DiffTensor:
-    """Expand a (C,) or (1, C) tensor to (rows, C); gradient sums rows."""
-    vec = a.data.reshape(-1)
-    out = np.broadcast_to(vec, (rows, vec.size)).copy()
-    return _make([a], out, lambda g: (g.sum(axis=0).reshape(a.shape),))
 
 
 def reshape(a: DiffTensor, shape) -> DiffTensor:

@@ -291,7 +291,7 @@ def _roof_match_rate(model, ae, manifest, data_dir, cfg, gamma, schedule):
         z = encode(ae, load_pgm(data_dir / e["silhouette"])).values
         cloud, _ = sample_base(model, z, cfg.K, gamma, seed=3000 + i,
                                schedule=schedule)
-        norm, _ = normalize_unit_cube(cloud)
+        norm = normalize_unit_cube(cloud)
         hits += roof_oracle(norm) == e["spec"]["roof_type"]
     return hits / len(tests)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
-from buildiff.denoiser import (DenoiserConfig, _linear, denoise, denoise_graph,
+from buildiff.denoiser import (DenoiserConfig, denoise, denoise_graph,
                                fuse_conditions, init_denoiser_params,
                                make_model)
 from buildiff.diffusion import sample_base
@@ -124,15 +124,16 @@ class TestForward:
 def concat_forward(params, xt, t, z_I):
     """Reference forward: the row-constant features broadcast to (K, .),
     concatenated as [h | ctx | fused] and multiplied through all of dec.w1."""
-    K = xt.shape[0]
-    h = T.leaky_relu(_linear(T.leaf(xt), params["point.w1"], params["point.b1"]))
-    h = T.leaky_relu(_linear(h, params["point.w2"], params["point.b2"]))
-    ctx = T.broadcast_expand(T.reduce_max_over_points(h), K)
-    fused = T.broadcast_expand(fuse_conditions(params, z_I, t), K)
+    rows = np.zeros(xt.shape[0], dtype=np.int64)  # repeat a (1, .) row K times
+    h = T.leaky_relu(T.linear(T.leaf(xt), params["point.w1"], params["point.b1"]))
+    h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
+    ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
+    ctx = T.gather_rows(ctx, rows)
+    fused = T.gather_rows(fuse_conditions(params, z_I, t), rows)
     feat = T.concat_last_axis([h, ctx, fused])
-    out = T.leaky_relu(_linear(feat, params["dec.w1"], params["dec.b1"]))
-    out = T.leaky_relu(_linear(out, params["dec.w2"], params["dec.b2"]))
-    return _linear(out, params["dec.out_w"], params["dec.out_b"])
+    out = T.leaky_relu(T.linear(feat, params["dec.w1"], params["dec.b1"]))
+    out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
+    return T.linear(out, params["dec.out_w"], params["dec.out_b"])
 
 
 def reference_model(params):
@@ -202,8 +203,23 @@ class TestFactoredForward:
             denoise_graph(p, xt, 6, z)
         for name in ("point.w1", "point.w2", "dec.w1"):
             assert uses(guided, name) == uses(single, name), name
-        # only the decoder after the first layer runs once per branch
+        # the point MLP, the max-pool context and the split of dec.w1 are
+        # shared; each branch runs the whole decoder, h@W_h included
         assert uses(guided, "dec.w2") == 2 * uses(single, "dec.w2") == 2
+
+    def test_tape_entries_per_call(self, recorded_ops):
+        """One op per affine layer: at the toy config (K=256, d=32) a plain
+        call records 25 tape entries and a guided call 41."""
+        p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
+        rng = np.random.default_rng(16)
+        xt = rng.normal(size=(256, 3))
+        z = rng.normal(size=32)
+        with T.Tape():
+            denoise_graph(p, xt, 7, z)
+        assert recorded_ops() == 25
+        with T.Tape():
+            denoise_graph(p, xt, 7, z, guided=True)
+        assert recorded_ops() == 25 + 41
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())
