@@ -29,8 +29,8 @@ def save_params(path, params: dict[str, DiffTensor | np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, p in params.items():
-            arr = np.ascontiguousarray(
-                p.data if isinstance(p, DiffTensor) else p, dtype=np.float64)
+            arr = np.asarray(p.data if isinstance(p, DiffTensor) else p,
+                             dtype=np.float64, order="C")
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)

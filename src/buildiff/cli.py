@@ -61,6 +61,13 @@ def _load_cloud(path: Path) -> PointCloud:
     return loader(path)
 
 
+def _cloud_saver(path: Path):
+    saver = CLOUD_SAVERS.get(path.suffix)
+    if saver is None:
+        raise IOError(f"unsupported output format {path.suffix!r}")
+    return saver
+
+
 def _cmd_gen_data(args) -> int:
     build_dataset(args.out, n_train=args.n_train, n_test=args.n_test,
                   roof_mix=tuple(args.roof_mix.split(",")),
@@ -85,6 +92,8 @@ def _model_params(blob):
 
 
 def _cmd_sample(args) -> int:
+    out = Path(args.out)
+    saver = _cloud_saver(out)
     ckpt_dir = Path(args.checkpoints)
     needed = ["autoencoder", "base"] + (["upsampler"] if args.high_res else [])
     for stage in needed:
@@ -110,25 +119,23 @@ def _cmd_sample(args) -> int:
     z_I = encode(ae_params, img).values
 
     stride = args.trace_stride
-    cloud, trace = sample_base(make_model(base_params), z_I, cfg.K,
-                               args.gamma, args.seed, cfg.schedule("base"),
-                               trace_stride=stride)
+    cloud, snapshots = sample_base(make_model(base_params), z_I, cfg.K,
+                                   args.gamma, args.seed, cfg.schedule("base"),
+                                   trace_stride=stride)
     steps = cfg.T
     if args.high_res:
         up_params = _model_params(
             load_params(ckpt_dir / "upsampler.bdif", requires_grad=False))
-        cloud, trace = sample_upsampled(make_model(up_params), z_I, cloud,
-                                        up_cfg.N, args.gamma, args.seed + 1,
-                                        up_cfg.schedule("upsampler"),
-                                        trace_stride=stride)
+        cloud, snapshots = sample_upsampled(make_model(up_params), z_I, cloud,
+                                            up_cfg.N, args.gamma, args.seed + 1,
+                                            up_cfg.schedule("upsampler"),
+                                            trace_stride=stride)
         steps += up_cfg.T_upsampler
-    out = Path(args.out)
-    saver = CLOUD_SAVERS.get(out.suffix, save_ply)
     saver(out, cloud)
     if stride and args.trace_dir:
         tdir = Path(args.trace_dir)
         tdir.mkdir(parents=True, exist_ok=True)
-        for t, snap in trace.snapshots:
+        for t, snap in snapshots:
             save_ply(tdir / f"trace_{t:05d}.ply", PointCloud(snap))
     print(f"seed={args.seed} gamma={args.gamma} steps={steps} -> {out}")
     return EXIT_OK
@@ -165,11 +172,8 @@ def _cmd_eval(args) -> int:
 def _cmd_export(args) -> int:
     src = Path(args.input)
     dst = Path(args.out)
+    saver = _cloud_saver(dst)
     cloud = _load_cloud(src)
-    saver = CLOUD_SAVERS.get(dst.suffix)
-    if saver is None:
-        print(f"error: unsupported output format {dst.suffix!r}", file=sys.stderr)
-        return EXIT_INPUT
     saver(dst, cloud)
     print(f"{src} -> {dst} ({cloud.count} points)")
     return EXIT_OK

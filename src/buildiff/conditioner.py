@@ -42,7 +42,6 @@ class SilhouetteImage:
 @dataclass
 class ConditionEmbedding:
     values: np.ndarray
-    dropped: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)

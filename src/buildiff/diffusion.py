@@ -1,22 +1,14 @@
 """Forward noising, x0 reconstruction, guided noise combination and the
-ancestral sampling loops (base and upsampler)."""
+one ancestral sampling chain, which the base stage runs with no fixed
+points and the upsampler with its low-resolution cloud held fixed."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .geometry import PointCloud
 from .schedule import NoiseSchedule
-
-
-@dataclass
-class SampleTrace:
-    seed: int
-    gamma: float
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray,
@@ -45,7 +37,7 @@ def reconstruct_x0_diff(xt: np.ndarray, t: int, eps_hat: T.DiffTensor,
         raise ValueError(f"reconstruct_x0: shapes {xt.shape} vs {eps_hat.shape}")
     ab = schedule.alpha_bar(t)
     xt_c = T.leaf(xt)
-    return T.scale(T.sub(xt_c, T.scale(eps_hat, np.sqrt(1.0 - ab))),
+    return T.scale(T.add(xt_c, T.scale(eps_hat, -np.sqrt(1.0 - ab))),
                    1.0 / np.sqrt(ab))
 
 
@@ -74,60 +66,58 @@ def ancestral_step(xt: np.ndarray, t: int, eps_guided: np.ndarray,
     return mean
 
 
-def _predict(model, xt, t, z_I, gamma):
-    if gamma == 0.0:
-        eps_c, eps_u = model(xt, t, z_I), None
-    else:
-        eps_c, eps_u = model(xt, t, z_I, guided=True)
-    if not np.all(np.isfinite(eps_c)):
-        raise FloatingPointError(f"non-finite model output at step t={t}")
-    if eps_u is None:
-        return eps_c
-    if not np.all(np.isfinite(eps_u)):
-        raise FloatingPointError(f"non-finite unconditional output at t={t}")
-    return guided_epsilon(eps_c, eps_u, gamma)
+Snapshots = list[tuple[int, np.ndarray]]
+
+
+def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
+           schedule: NoiseSchedule,
+           trace_stride: int) -> tuple[PointCloud, Snapshots]:
+    """The one reverse chain, from Gaussian noise to an N-point cloud whose
+    first K = len(fixed) rows are re-imposed before every model call and at
+    the end, so they survive bitwise; K = 0 is the base chain. Snapshots
+    (t, points) are taken every trace_stride steps and at t=0.
+
+    model(xt, t, z_I_or_None) -> (N,3) noise prediction; for gamma != 0 the
+    loop calls model(xt, t, z_I, guided=True) once per step, which returns
+    (eps_cond, eps_uncond). Deterministic in (seed, gamma, model).
+    """
+    K = fixed.shape[0]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((N, 3))
+    snapshots = []
+    for t in range(schedule.T, 0, -1):
+        x[:K] = fixed
+        if gamma == 0.0:
+            eps = model(x, t, z_I)
+        else:
+            eps = guided_epsilon(*model(x, t, z_I, guided=True), gamma)
+        # a non-finite branch makes the guided combination non-finite too
+        if not np.all(np.isfinite(eps)):
+            raise FloatingPointError(f"non-finite model output at step t={t}")
+        z = rng.standard_normal((N, 3)) if t > 1 else None
+        x = ancestral_step(x, t, eps, z, schedule)
+        if trace_stride and (t % trace_stride == 0 or t == 1):
+            snapshots.append((t - 1, x.copy()))
+    x[:K] = fixed
+    return PointCloud(x), snapshots
 
 
 def sample_base(model, z_I, K: int, gamma: float, seed: int,
                 schedule: NoiseSchedule,
-                trace_stride: int = 0) -> tuple[PointCloud, SampleTrace]:
-    """Full reverse chain from Gaussian noise to a K-point cloud.
-
-    model(xt, t, z_I_or_None) -> (K,3) noise prediction; for gamma != 0 the
-    loop calls model(xt, t, z_I, guided=True) once per step, which returns
-    (eps_cond, eps_uncond). Deterministic in (seed, gamma, model).
-    """
+                trace_stride: int = 0) -> tuple[PointCloud, Snapshots]:
+    """Base chain to a K-point cloud: the chain with no fixed points."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((K, 3))
-    trace = SampleTrace(seed=seed, gamma=gamma)
-    for t in range(schedule.T, 0, -1):
-        eps = _predict(model, x, t, z_I, gamma)
-        z = rng.standard_normal((K, 3)) if t > 1 else None
-        x = ancestral_step(x, t, eps, z, schedule)
-        if trace_stride and (t % trace_stride == 0 or t == 1):
-            trace.snapshots.append((t - 1, x.copy()))
-    return PointCloud(x, meta={"seed": seed, "gamma": gamma}), trace
+    return _chain(model, z_I, np.zeros((0, 3)), K, gamma, seed, schedule,
+                  trace_stride)
 
 
 def sample_upsampled(model, z_I, lowres: PointCloud, N: int, gamma: float,
                      seed: int, schedule: NoiseSchedule,
-                     trace_stride: int = 0) -> tuple[PointCloud, SampleTrace]:
-    """Upsampling chain: the first K positions are re-imposed with the
-    low-resolution cloud before every model call, so they survive bitwise."""
-    K = lowres.count
-    if N <= K:
-        raise ValueError(f"N={N} must exceed K={K}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((N, 3))
-    trace = SampleTrace(seed=seed, gamma=gamma)
-    for t in range(schedule.T, 0, -1):
-        x[:K] = lowres.points
-        eps = _predict(model, x, t, z_I, gamma)
-        z = rng.standard_normal((N, 3)) if t > 1 else None
-        x = ancestral_step(x, t, eps, z, schedule)
-        if trace_stride and (t % trace_stride == 0 or t == 1):
-            trace.snapshots.append((t - 1, x.copy()))
-    x[:K] = lowres.points
-    return PointCloud(x, meta={"seed": seed, "gamma": gamma, "K": K}), trace
+                     trace_stride: int = 0) -> tuple[PointCloud, Snapshots]:
+    """Upsampling chain to N points that holds the low-resolution cloud
+    fixed in the first K rows."""
+    if N <= lowres.count:
+        raise ValueError(f"N={N} must exceed K={lowres.count}")
+    return _chain(model, z_I, lowres.points, N, gamma, seed, schedule,
+                  trace_stride)

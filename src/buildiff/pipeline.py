@@ -169,7 +169,7 @@ def train_step(params, state: AdamState,
                 raise ValueError(f"N={N} must exceed K={K}")
             t = int(rng.integers(1, schedule.T + 1))
             eps = rng.standard_normal(x0.shape)
-            dropped = bool(rng.random() < config.drop_prob) or emb.dropped
+            dropped = bool(rng.random() < config.drop_prob)
             z_I = None if dropped else emb.values
             xt = forward_noise(x0, t, eps, schedule)
             xt[:K] = fixed

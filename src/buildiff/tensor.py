@@ -29,20 +29,14 @@ class DiffTensor:
     backward() has run over a tape containing this tensor.
     """
 
-    __slots__ = ("shape", "data", "grad", "requires_grad", "node_id")
-
-    _next_id = 0
-    _id_lock = threading.Lock()
+    __slots__ = ("shape", "data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data, dtype=np.float64, order="C")
         self.data = arr
         self.shape = arr.shape
         self.grad = None
         self.requires_grad = requires_grad
-        with DiffTensor._id_lock:
-            self.node_id = DiffTensor._next_id
-            DiffTensor._next_id += 1
 
     @property
     def size(self) -> int:
@@ -93,28 +87,31 @@ class Tape:
     def backward(self, loss: DiffTensor) -> None:
         """Populate grad on every requires_grad tensor reachable from loss.
 
-        Gradients are overwritten, not accumulated across calls.
+        Gradients are overwritten, not accumulated across calls. They are
+        keyed by id(): the tape holds every tensor it names, so no id is
+        reused while it runs.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        leaves: list[DiffTensor] = []
         for entry in reversed(self.entries):
-            gout = grads.pop(entry.output.node_id, None)
+            gout = grads.pop(id(entry.output), None)
             if gout is None:
                 continue
             gins = entry.backward_fn(gout)
             for t, g in zip(entry.inputs, gins):
                 if g is None:
                     continue
-                if t.node_id in grads:
-                    grads[t.node_id] = grads[t.node_id] + g
+                key = id(t)
+                if key in grads:
+                    grads[key] = grads[key] + g
                 else:
-                    grads[t.node_id] = g
-        # leaves: anything left in grads plus the loss itself
-        for entry in self.entries:
-            for t in entry.inputs:
-                if t.requires_grad and t.node_id in grads:
-                    t.grad = grads[t.node_id]
+                    grads[key] = g
+                    if t.requires_grad:
+                        leaves.append(t)
+        for t in leaves:
+            t.grad = grads[id(t)]
 
 
 def _make(inputs, value, backward_fn) -> DiffTensor:
@@ -144,12 +141,6 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 def scale(a: DiffTensor, c: float) -> DiffTensor:
     c = float(c)
     return _make([a], a.data * c, lambda g: (g * c,))
-
-
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} vs {b.shape}")
-    return _make([a, b], a.data - b.data, lambda g: (g, -g))
 
 
 def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:

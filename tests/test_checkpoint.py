@@ -7,7 +7,7 @@ from buildiff.checkpoint import CheckpointError, load_params, save_params
 def small_params():
     rng = np.random.default_rng(0)
     return {"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3),
-            "opt.t": np.array([4.0])}
+            "opt.t": np.array([4.0]), "opt.step": np.array(4.0)}
 
 
 def test_round_trip(tmp_path):

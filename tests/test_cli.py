@@ -242,6 +242,16 @@ class TestSample:
                     "--trace-stride", "5", "--trace-dir", str(tdir)]) == 0
         assert len(list(tdir.glob("trace_*.ply"))) >= 2
 
+    def test_unsupported_out_format_exits_3(self, dataset, checkpoints,
+                                            tmp_path, capsys):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        out = tmp_path / "o.txt"
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(checkpoints),
+                    "--image", str(img), "--out", str(out)]) == 3
+        assert "unsupported output format '.txt'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def make_dirs(self, tmp_path, ids_pred, ids_ref):

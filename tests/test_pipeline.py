@@ -29,9 +29,9 @@ def tiny_params(seed=0):
     return p
 
 
-def embedding(seed=0, d=8, dropped=False):
+def embedding(seed=0, d=8):
     rng = np.random.default_rng(seed)
-    return ConditionEmbedding(rng.normal(size=d), dropped=dropped)
+    return ConditionEmbedding(rng.normal(size=d))
 
 
 class TestConfig:
@@ -242,16 +242,6 @@ class TestTrainSteps:
             total += len(log.dropped)
         assert abs(dropped / total - 0.1) <= 0.01
 
-    def test_forced_drop_flag_respected(self):
-        params = tiny_params()
-        state = AdamState(params, lr=1e-6)
-        rng = np.random.default_rng(7)
-        x0 = rng.normal(size=(6, 3))
-        batch = [(x0, x0[:0], embedding(0, dropped=True))]
-        log = train_step(params, state, batch,
-                         TrainConfig(d=8, drop_prob=0.0), SCH, rng)
-        assert log.dropped == [True]
-
     def test_unreached_parameter_gets_zero_gradient(self):
         """null_embed is not reached on a step without a drop: Adam must see
         a zero gradient there, not the previous (dropped) step's."""
@@ -260,8 +250,8 @@ class TestTrainSteps:
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=(6, 3))
         cfg = TrainConfig(d=8, drop_prob=0.0)
-        train_step(params, state, [(x0, x0[:0], embedding(0, dropped=True))],
-                   cfg, SCH, rng)
+        train_step(params, state, [(x0, x0[:0], embedding(0))],
+                   dataclasses.replace(cfg, drop_prob=1.0), SCH, rng)
         assert np.abs(params["null_embed"].grad).max() > 0
         m_dropped = state.m["null_embed"].copy()
         train_step(params, state, [(x0, x0[:0], embedding(0))], cfg, SCH, rng)

@@ -228,7 +228,6 @@ OP_CASES = {
     "add": lambda a, b: T.add(a, b),
     "mul": lambda a, b: T.mul(a, b),
     "scale": lambda a, b: T.scale(a, -0.3),
-    "sub": lambda a, b: T.sub(a, b),
     "linear": lambda a, b: T.linear(a, T.reshape(b, (4, 3)),
                                     T.leaf([[-0.0, 0.5, -2.0]])),
     "concat_last_axis": lambda a, b: T.concat_last_axis([a, b, a]),
