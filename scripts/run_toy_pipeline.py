@@ -22,7 +22,7 @@ from buildiff.datagen import DatasetManifest, build_dataset, roof_oracle
 from buildiff.denoiser import make_model
 from buildiff.diffusion import sample_base
 from buildiff.geometry import normalize_unit_cube, save_ply
-from buildiff.pipeline import run_training, toy_config
+from buildiff.pipeline import model_params, run_training, toy_config
 
 
 def main() -> int:
@@ -51,9 +51,8 @@ def main() -> int:
     run_training(root / "data", cfg, "base", root / "ckpt")
     print(f"   done at {time.time() - t0:.0f}s")
 
-    ae = load_params(root / "ckpt/autoencoder.bdif", requires_grad=False)
-    blob = load_params(root / "ckpt/base.bdif", requires_grad=False)
-    model = make_model({k: v for k, v in blob.items() if not k.startswith("opt.")})
+    ae = load_params(root / "ckpt/autoencoder.bdif")
+    model = make_model(model_params(load_params(root / "ckpt/base.bdif")))
     schedule = cfg.schedule("base")
     manifest = DatasetManifest.load(root / "data/manifest.json")
     tests = [e for e in manifest.entries if e["split"] == "test"]

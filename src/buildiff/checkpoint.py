@@ -40,7 +40,7 @@ def save_params(path, params: dict[str, DiffTensor | np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def load_params(path, requires_grad: bool = True) -> dict[str, DiffTensor]:
+def load_params(path) -> dict[str, DiffTensor]:
     """Read a checkpoint; a malformed or truncated file raises
     CheckpointError naming the path and the byte offset."""
     path = Path(path)
@@ -74,6 +74,5 @@ def load_params(path, requires_grad: bool = True) -> dict[str, DiffTensor]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         n = math.prod(dims)
         data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
-        params[name] = DiffTensor(data.reshape(dims).copy(),
-                                  requires_grad=requires_grad)
+        params[name] = DiffTensor(data.reshape(dims).copy())
     return params

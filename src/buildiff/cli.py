@@ -22,8 +22,8 @@ from .denoiser import make_model
 from .geometry import (PointCloud, load_bpc, load_ply, load_xyz, save_bpc,
                        save_ply, save_xyz)
 from .metrics import evaluate_pair, write_report_jsonl
-from .pipeline import (STAGES, StageDependencyError, TrainConfig, run_training,
-                       toy_config)
+from .pipeline import (STAGES, StageDependencyError, TrainConfig, model_params,
+                       run_training, toy_config)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -87,10 +87,6 @@ def _cmd_train(stage: str):
     return run
 
 
-def _model_params(blob):
-    return {k: v for k, v in blob.items() if not k.startswith("opt.")}
-
-
 def _cmd_sample(args) -> int:
     out = Path(args.out)
     saver = _cloud_saver(out)
@@ -101,11 +97,7 @@ def _cmd_sample(args) -> int:
             print(f"error: missing checkpoint for stage '{stage}' in {ckpt_dir}",
                   file=sys.stderr)
             return EXIT_DEPENDENCY
-    try:
-        img = load_pgm(args.image)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read image: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    img = load_pgm(args.image)
     cfg = TrainConfig.load(ckpt_dir / "base.config")
     if args.high_res:
         up_cfg = TrainConfig.load(ckpt_dir / "upsampler.config")
@@ -113,9 +105,8 @@ def _cmd_sample(args) -> int:
             print(f"error: upsampler.config has K={up_cfg.K} but base.config "
                   f"has K={cfg.K} in {ckpt_dir}", file=sys.stderr)
             return EXIT_MISMATCH
-    ae_params = load_params(ckpt_dir / "autoencoder.bdif", requires_grad=False)
-    base_params = _model_params(
-        load_params(ckpt_dir / "base.bdif", requires_grad=False))
+    ae_params = load_params(ckpt_dir / "autoencoder.bdif")
+    base_params = model_params(load_params(ckpt_dir / "base.bdif"))
     z_I = encode(ae_params, img).values
 
     stride = args.trace_stride
@@ -124,8 +115,7 @@ def _cmd_sample(args) -> int:
                                    trace_stride=stride)
     steps = cfg.T
     if args.high_res:
-        up_params = _model_params(
-            load_params(ckpt_dir / "upsampler.bdif", requires_grad=False))
+        up_params = model_params(load_params(ckpt_dir / "upsampler.bdif"))
         cloud, snapshots = sample_upsampled(make_model(up_params), z_I, cloud,
                                             up_cfg.N, args.gamma, args.seed + 1,
                                             up_cfg.schedule("upsampler"),

@@ -9,8 +9,10 @@ is used by the diffusion stages.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -56,15 +58,38 @@ def save_pgm(path, img: SilhouetteImage) -> None:
         fh.write(data.tobytes())
 
 
+# one header field: whitespace or "#" comment lines before it, then digits
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+([0-9]+)")
+
+
 def load_pgm(path) -> SilhouetteImage:
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise IOError(f"{path}: not a binary PGM")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8).reshape(h, w)
-        return SilhouetteImage(data.astype(np.float64) / maxval)
+    """Read a binary PGM (P5) with one byte per pixel. A malformed header
+    or a short payload raises IOError naming the path."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(b"P5"):
+        raise IOError(f"{path}: not a binary PGM")
+    pos, fields = 2, []
+    for name in ("width", "height", "maxval"):
+        m = _PGM_FIELD.match(raw, pos)
+        if m is None:
+            raise IOError(f"{path}: PGM header has no {name}")
+        fields.append(int(m.group(1)))
+        pos = m.end()
+    w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise IOError(f"{path}: PGM size {w}x{h} is empty")
+    if not 1 <= maxval <= 255:
+        raise IOError(f"{path}: PGM maxval {maxval} is outside 1..255")
+    if not raw[pos:pos + 1].isspace():
+        raise IOError(f"{path}: PGM header does not end in whitespace after maxval")
+    data = raw[pos + 1:pos + 1 + w * h]
+    if len(data) < w * h:
+        raise IOError(f"{path}: PGM payload has {len(data)} bytes, "
+                      f"{w}x{h} needs {w * h}")
+    pixels = np.frombuffer(data, np.uint8).reshape(h, w)
+    if pixels.max() > maxval:
+        raise IOError(f"{path}: PGM pixel {pixels.max()} exceeds maxval {maxval}")
+    return SilhouetteImage(pixels / maxval)
 
 
 def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
@@ -131,15 +156,13 @@ def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, T.DiffTensor]:
     flat = base * base * c3
 
     def conv_w(cin, cout):
-        return T.leaf(rng.uniform(-1, 1, (9 * cin, cout)) * np.sqrt(6.0 / (9 * cin)),
-                      requires_grad=True)
+        return T.leaf(rng.uniform(-1, 1, (9 * cin, cout)) * np.sqrt(6.0 / (9 * cin)))
 
     def lin_w(nin, nout):
-        return T.leaf(rng.uniform(-1, 1, (nin, nout)) * np.sqrt(6.0 / nin),
-                      requires_grad=True)
+        return T.leaf(rng.uniform(-1, 1, (nin, nout)) * np.sqrt(6.0 / nin))
 
     def b(n):
-        return T.leaf(np.zeros(n), requires_grad=True)
+        return T.leaf(np.zeros(n))
 
     return {
         "enc.c1": conv_w(1, c1), "enc.b1": b(c1),

@@ -53,14 +53,14 @@ def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, T.DiffTens
     for name, s in spec.items():
         if s is None:
             out_dim = params[name.replace(".b", ".w")].shape[1]
-            params[name] = T.leaf(np.zeros(out_dim), requires_grad=True)
+            params[name] = T.leaf(np.zeros(out_dim))
         else:
             fan_in, shape = s
-            params[name] = T.leaf(_kaiming(rng, fan_in, shape), requires_grad=True)
+            params[name] = T.leaf(_kaiming(rng, fan_in, shape))
     # final layer zero so the fresh network predicts eps ~ 0
-    params["dec.out_w"] = T.leaf(np.zeros((wd, 3)), requires_grad=True)
-    params["dec.out_b"] = T.leaf(np.zeros(3), requires_grad=True)
-    params["null_embed"] = T.leaf(rng.uniform(-0.1, 0.1, size=d), requires_grad=True)
+    params["dec.out_w"] = T.leaf(np.zeros((wd, 3)))
+    params["dec.out_b"] = T.leaf(np.zeros(3))
+    params["null_embed"] = T.leaf(rng.uniform(-0.1, 0.1, size=d))
     return params
 
 

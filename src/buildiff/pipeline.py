@@ -262,11 +262,14 @@ def _save_training_state(path: Path, params, state: AdamState, epoch: int,
     config.save(path.with_suffix(".config"))
 
 
+def model_params(blob: dict[str, T.DiffTensor]) -> dict[str, T.DiffTensor]:
+    """A training checkpoint's model parameters: all but the "opt." records."""
+    return {k: v for k, v in blob.items() if not k.startswith("opt.")}
+
+
 def _load_training_state(path: Path, lr: float):
     blob = load_params(path)
-    params = {k: v for k, v in blob.items() if not k.startswith("opt.")}
-    for p in params.values():
-        p.requires_grad = True
+    params = model_params(blob)
     state = AdamState(params, lr=lr)
     for name in params:
         state.m[name] = blob[f"opt.m.{name}"].data
@@ -342,7 +345,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
         if not ae_ckpt.exists():
             raise StageDependencyError(
                 f"stage {stage!r} requires the 'autoencoder' checkpoint at {ae_ckpt}")
-        ae_params = load_params(ae_ckpt, requires_grad=False)
+        ae_params = load_params(ae_ckpt)
 
         if stage == "upsampler" and not _stage_ckpt(out_dir, "base").exists():
             raise StageDependencyError(

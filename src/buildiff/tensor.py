@@ -3,7 +3,8 @@
 Everything trainable in this project (denoiser, conditioner, losses) is
 expressed through the op set below. Ops record only inside ``with Tape():``,
 on a thread-local Tape; outside one they keep no graph, as sampling runs.
-``backward`` walks the tape in reverse and overwrites gradients.
+``Tape.backward(loss, wrt)`` walks the tape in reverse and returns the
+gradient of each tensor in ``wrt``; no gradient is stored on a tensor.
 No implicit broadcasting: shapes must match exactly. A bias row enters
 only through ``linear``, the one affine op; no other op broadcasts.
 """
@@ -23,20 +24,14 @@ class ShapeError(ValueError):
 
 
 class DiffTensor:
-    """A value in the computation graph.
+    """A value in the computation graph, stored row-major as float64."""
 
-    data is stored row-major as float64. grad mirrors data's shape once
-    backward() has run over a tape containing this tensor.
-    """
+    __slots__ = ("shape", "data")
 
-    __slots__ = ("shape", "data", "grad", "requires_grad")
-
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64, order="C")
         self.data = arr
         self.shape = arr.shape
-        self.grad = None
-        self.requires_grad = requires_grad
 
     @property
     def size(self) -> int:
@@ -48,11 +43,11 @@ class DiffTensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"DiffTensor(shape={self.shape})"
 
 
-def leaf(data, requires_grad: bool = False) -> DiffTensor:
-    return DiffTensor(data, requires_grad=requires_grad)
+def leaf(data) -> DiffTensor:
+    return DiffTensor(data)
 
 
 class _TapeEntry:
@@ -84,17 +79,15 @@ class Tape:
                backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.entries.append(_TapeEntry(list(inputs), output, backward_fn))
 
-    def backward(self, loss: DiffTensor) -> None:
-        """Populate grad on every requires_grad tensor reachable from loss.
-
-        Gradients are overwritten, not accumulated across calls. They are
-        keyed by id(): the tape holds every tensor it names, so no id is
-        reused while it runs.
-        """
+    def backward(self, loss: DiffTensor,
+                 wrt: Sequence[DiffTensor]) -> list[np.ndarray]:
+        """Gradient of loss with respect to each leaf in wrt (a tensor no
+        op on this tape produced), in that order; zeros where the loss
+        does not reach. Gradients are keyed by id(): the tape holds every
+        tensor it names, so no id is reused while it runs."""
         if loss.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: list[DiffTensor] = []
         for entry in reversed(self.entries):
             gout = grads.pop(id(entry.output), None)
             if gout is None:
@@ -108,10 +101,8 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-                    if t.requires_grad:
-                        leaves.append(t)
-        for t in leaves:
-            t.grad = grads[id(t)]
+        return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+                for t in wrt]
 
 
 def _make(inputs, value, backward_fn) -> DiffTensor:

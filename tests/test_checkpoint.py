@@ -14,7 +14,7 @@ def test_round_trip(tmp_path):
     path = tmp_path / "p.bdif"
     params = small_params()
     save_params(path, params)
-    back = load_params(path, requires_grad=False)
+    back = load_params(path)
     assert list(back) == list(params)
     for name, arr in params.items():
         assert back[name].data.shape == arr.shape

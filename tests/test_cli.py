@@ -143,6 +143,22 @@ class TestSample:
         assert run(["sample", "--checkpoints", str(checkpoints),
                     "--image", str(bad), "--out", str(tmp_path / "o.ply")]) == 3
 
+    @pytest.mark.parametrize("blob", [
+        b"P5\n\n255\n" + bytes(4), b"P5\n2 2\n255\n" + bytes(3),
+        b"P5\n2 2\n0\n" + bytes(4), b"P5\n2 2\n256\n" + bytes(8),
+        b"P5\n2 2\n7\n\x00\x07\x08\x00",
+    ], ids=["empty-dimensions", "short-payload", "maxval-0", "maxval-256",
+            "pixel-above-maxval"])
+    def test_malformed_pgm_exits_3_naming_it(self, checkpoints, tmp_path,
+                                             capsys, blob):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(blob)
+        assert run(["sample", "--checkpoints", str(checkpoints),
+                    "--image", str(bad), "--out", str(tmp_path / "o.ply")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert not (tmp_path / "o.ply").exists()
+
     def test_truncated_checkpoint_exits_3(self, dataset, checkpoints, tmp_path,
                                           capsys):
         img = next((dataset / "silhouettes").glob("*.pgm"))

@@ -7,6 +7,16 @@ from buildiff.conditioner import (ConditionEmbedding, SilhouetteImage, ae_loss,
                                   load_pgm, save_pgm, train_autoencoder)
 
 
+# malformed binary PGMs, each with a pattern of its IOError message
+MALFORMED_PGM = {
+    "empty-dimensions": (b"P5\n\n255\n" + bytes(4), "no height"),
+    "short-payload": (b"P5\n2 2\n255\n" + bytes(3), "3 bytes, 2x2 needs 4"),
+    "maxval-0": (b"P5\n2 2\n0\n" + bytes(4), "maxval 0 is outside 1..255"),
+    "maxval-256": (b"P5\n2 2\n256\n" + bytes(8), "maxval 256 is outside 1..255"),
+    "pixel-above-maxval": (b"P5\n2 2\n7\n\x00\x07\x08\x00", "pixel 8 exceeds maxval 7"),
+}
+
+
 def checker(size=16):
     px = np.indices((size, size)).sum(axis=0) % 2
     return SilhouetteImage(px.astype(np.float64))
@@ -43,6 +53,23 @@ class TestPgmRoundTrip:
         (tmp_path / "bad.pgm").write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(IOError):
             load_pgm(tmp_path / "bad.pgm")
+
+    def test_skips_comment_lines(self, tmp_path):
+        (tmp_path / "c.pgm").write_bytes(
+            b"P5\n# made by hand\n2 2\n# two comments\n# in a row\n255\n"
+            b"\x00\xff\x33\x00")
+        back = load_pgm(tmp_path / "c.pgm")
+        np.testing.assert_array_equal(back.pixels,
+                                      [[0.0, 1.0], [0x33 / 255, 0.0]])
+
+    @pytest.mark.parametrize("blob,why", MALFORMED_PGM.values(),
+                             ids=list(MALFORMED_PGM))
+    def test_malformed_header_names_path(self, tmp_path, blob, why):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(IOError, match=why) as err:
+            load_pgm(path)
+        assert str(path) in str(err.value)
 
 
 class TestAugment:

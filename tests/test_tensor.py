@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildiff import tensor as T
-from buildiff.optim import AdamState, adam_step, backward_and_step
+from buildiff.optim import (BETA1, BETA2, EPS, AdamState, adam_step,
+                            backward_and_step)
 
 
 def test_mse_identity_is_zero():
@@ -31,7 +32,7 @@ def test_leaky_relu_bitwise_equal_to_coefficient_formula():
                         rng.normal(size=200)])
     for slope in (0.01, 0.2, 0.5):
         coef = np.where(a >= 0, 1.0, slope)
-        x = T.leaf(a, requires_grad=True)
+        x = T.leaf(a)
         with T.Tape() as tape:
             out = T.leaky_relu(x, slope=slope)
             (gin,) = tape.entries[-1].backward_fn(g)
@@ -106,41 +107,60 @@ def test_linear_bad_shapes_name_all_three(x_shape, w_shape, b_shape):
 
 
 def test_backward_square():
-    w = T.leaf([3.0], requires_grad=True)
+    w = T.leaf([3.0])
     with T.Tape() as tape:
         loss = T.mse(w, T.leaf([0.0]))
-        tape.backward(loss)
-    np.testing.assert_allclose(w.grad, [6.0])
+        (gw,) = tape.backward(loss, [w])
+    np.testing.assert_allclose(gw, [6.0])
 
 
 def test_backward_product_rule():
-    a = T.leaf([2.0], requires_grad=True)
-    b = T.leaf([5.0], requires_grad=True)
+    a = T.leaf([2.0])
+    b = T.leaf([5.0])
     with T.Tape() as tape:
         loss = _sum_all(T.mul(a, b))
-        tape.backward(loss)
-    np.testing.assert_allclose(a.grad, [5.0])
-    np.testing.assert_allclose(b.grad, [2.0])
+        ga, gb = tape.backward(loss, [a, b])
+    np.testing.assert_allclose(ga, [5.0])
+    np.testing.assert_allclose(gb, [2.0])
+
+
+def test_backward_returns_gradients_in_wrt_order():
+    """One array per wrt tensor, in wrt's order; a tensor the loss does not
+    reach, or one that no op touched, gets zeros of its own shape."""
+    a = T.leaf([2.0])
+    b = T.leaf([5.0])
+    unreached = T.leaf(np.ones((2, 3)))
+    untouched = T.leaf([7.0, 8.0])
+    with T.Tape() as tape:
+        T.scale(unreached, 4.0)
+        loss = _sum_all(T.mul(a, T.scale(b, 3.0)))
+        grads = tape.backward(loss, [b, unreached, a, untouched])
+    assert len(grads) == 4
+    np.testing.assert_allclose(grads[0], [6.0])
+    assert np.array_equal(grads[1], np.zeros((2, 3)))
+    np.testing.assert_allclose(grads[2], [15.0])
+    assert np.array_equal(grads[3], [0.0, 0.0])
+    assert tape.backward(loss, []) == []
 
 
 def test_backward_rejects_nonscalar():
-    a = T.leaf([1.0, 2.0], requires_grad=True)
+    a = T.leaf([1.0, 2.0])
     with T.Tape() as tape:
         out = T.scale(a, 2.0)
         with pytest.raises(T.ShapeError):
-            tape.backward(out)
+            tape.backward(out, [a])
 
 
 def test_backward_overwrites_grads():
-    w = T.leaf([3.0], requires_grad=True)
+    w = T.leaf([3.0])
     for _ in range(2):
         with T.Tape() as tape:
-            tape.backward(T.mse(w, T.leaf([0.0])))
-    np.testing.assert_allclose(w.grad, [6.0])  # not accumulated to 12
+            (gw,) = tape.backward(T.mse(w, T.leaf([0.0])), [w])
+    np.testing.assert_allclose(gw, [6.0])  # not accumulated to 12
 
 
 def test_finite_diff_simple():
-    w = T.leaf([3.0], requires_grad=True)
+    w = T.leaf([3.0])
 
     def f(params):
         with T.Tape():
@@ -151,7 +171,7 @@ def test_finite_diff_simple():
 
 
 def test_finite_diff_sin():
-    w = T.leaf([0.0], requires_grad=True)
+    w = T.leaf([0.0])
 
     def f(params):
         return float(np.sin(params[0].data[0]))
@@ -161,16 +181,16 @@ def test_finite_diff_sin():
 
 
 def test_finite_diff_rejects_nonfinite():
-    w = T.leaf([0.0], requires_grad=True)
+    w = T.leaf([0.0])
     with pytest.raises(ValueError):
         T.finite_diff_grad(lambda p: float("nan"), [w])
 
 
 def test_reduce_max_tie_goes_to_first_index():
-    a = T.leaf(np.array([[1.0], [1.0], [0.5]]), requires_grad=True)
+    a = T.leaf(np.array([[1.0], [1.0], [0.5]]))
     with T.Tape() as tape:
-        tape.backward(_sum_all(T.reduce_max_over_points(a)))
-    np.testing.assert_allclose(a.grad, [[1.0], [0.0], [0.0]])
+        (ga,) = tape.backward(_sum_all(T.reduce_max_over_points(a)), [a])
+    np.testing.assert_allclose(ga, [[1.0], [0.0], [0.0]])
 
 
 def test_reduce_max_bitwise_equal_to_argmax_formula():
@@ -196,7 +216,7 @@ def test_reduce_max_bitwise_equal_to_argmax_formula():
     want_val = a[want_idx, cols]
     want_g = np.zeros_like(a)
     want_g[want_idx, cols] = g
-    x = T.leaf(a, requires_grad=True)
+    x = T.leaf(a)
     with T.Tape() as tape:
         out = T.reduce_max_over_points(x)
         (gin,) = tape.entries[-1].backward_fn(g)
@@ -210,12 +230,12 @@ def test_reduce_max_bitwise_equal_to_argmax_formula():
 
 
 def test_gather_rows_negative_index_is_zero_row():
-    a = T.leaf(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    a = T.leaf(np.arange(6.0).reshape(3, 2))
     with T.Tape() as tape:
         out = T.gather_rows(a, [0, -1, 2])
         np.testing.assert_allclose(out.data[1], [0.0, 0.0])
-        tape.backward(_sum_all(out))
-    np.testing.assert_allclose(a.grad, [[1, 1], [0, 0], [1, 1]])
+        (ga,) = tape.backward(_sum_all(out), [a])
+    np.testing.assert_allclose(ga, [[1, 1], [0, 0], [1, 1]])
 
 
 def test_no_silent_broadcast():
@@ -248,7 +268,7 @@ def test_op_outside_tape_equals_recorded(name):
     a = rng.normal(size=(3, 4))
     a[0, :2] = [0.0, -0.0]
     b = rng.normal(size=(3, 4))
-    args = (T.leaf(a, requires_grad=True), T.leaf(b, requires_grad=True))
+    args = (T.leaf(a), T.leaf(b))
     with T.Tape() as tape:
         inside = OP_CASES[name](*args)
     assert tape.entries
@@ -259,7 +279,7 @@ def test_op_outside_tape_equals_recorded(name):
 
 
 def test_ops_outside_tape_record_nothing(recorded_ops):
-    a = T.leaf(np.ones((3, 4)), requires_grad=True)
+    a = T.leaf(np.ones((3, 4)))
     for op in OP_CASES.values():
         op(a, a)
     assert recorded_ops() == 0
@@ -293,17 +313,16 @@ def _random_graph_loss(params):
 @given(seed=st.integers(0, 10_000))
 def test_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    a = T.leaf(rng.normal(size=(3, 2)), requires_grad=True)
-    w = T.leaf(rng.normal(size=(2, 4)), requires_grad=True)
-    b = T.leaf(rng.normal(size=(3, 8)), requires_grad=True)
-    c = T.leaf(rng.normal(size=4), requires_grad=True)
+    a = T.leaf(rng.normal(size=(3, 2)))
+    w = T.leaf(rng.normal(size=(2, 4)))
+    b = T.leaf(rng.normal(size=(3, 8)))
+    c = T.leaf(rng.normal(size=4))
     params = [a, b, w, c]
     loss, tape = _random_graph_loss(params)
-    tape.backward(loss)
+    ads = tape.backward(loss, params)
     fd = T.finite_diff_grad(lambda ps: _random_graph_loss(ps)[0].item(),
                             params, step=1e-6)
-    for p, g in zip(params, fd):
-        ad = p.grad if p.grad is not None else np.zeros_like(g)
+    for ad, g in zip(ads, fd, strict=True):
         denom = max(np.abs(g).max(), 1.0)
         assert np.abs(ad - g).max() / denom < 1e-6
 
@@ -311,11 +330,11 @@ def test_backward_matches_finite_differences(seed):
 def test_tape_determinism():
     def run():
         rng = np.random.default_rng(42)
-        a = T.leaf(rng.normal(size=(4, 4)), requires_grad=True)
+        a = T.leaf(rng.normal(size=(4, 4)))
         with T.Tape() as tape:
             loss = T.mse(T.linear(a, a, T.leaf(np.zeros(4))), T.leaf(np.eye(4)))
-            tape.backward(loss)
-        return loss.item(), a.grad.copy()
+            (ga,) = tape.backward(loss, [a])
+        return loss.item(), ga.copy()
 
     l1, g1 = run()
     l2, g2 = run()
@@ -325,47 +344,53 @@ def test_tape_determinism():
 
 class TestAdam:
     def test_zero_grad_no_move(self):
-        p = T.leaf([1.0, -2.0], requires_grad=True)
-        p.grad = np.zeros(2)
+        p = T.leaf([1.0, -2.0])
         state = AdamState({"p": p}, lr=0.1)
-        adam_step(state, {"p": p})
+        adam_step(state, {"p": p}, [np.zeros(2)])
         np.testing.assert_allclose(p.data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        p = T.leaf([1.0], requires_grad=True)
-        p.grad = np.array([0.37])
+        p = T.leaf([1.0])
         state = AdamState({"p": p}, lr=0.1)
-        adam_step(state, {"p": p})
+        adam_step(state, {"p": p}, [np.array([0.37])])
         # bias-corrected first step moves by ~lr in the -sign(g) direction
         assert abs((1.0 - p.data[0]) - 0.1) < 1e-6
         assert state.step_count == 1
 
-    def test_missing_grad_rejected(self):
-        p = T.leaf([1.0], requires_grad=True)
+    def test_gradient_count_must_match_params(self):
+        p = T.leaf([1.0])
         state = AdamState({"p": p})
-        with pytest.raises(ValueError, match="no gradient"):
-            adam_step(state, {"p": p})
+        with pytest.raises(ValueError):
+            adam_step(state, {"p": p}, [])
 
     def test_backward_and_step_drops_stale_gradient(self):
         """A parameter the loss does not reach steps on a zero gradient,
-        not on the one a previous backward left behind."""
-        w = T.leaf([3.0], requires_grad=True)
-        unreached = T.leaf([1.0], requires_grad=True)
-        unreached.grad = np.array([5.0])
+        not on the one a previous step used: its moments only decay."""
+        w = T.leaf([3.0])
+        unreached = T.leaf([1.0])
         params = {"w": w, "unreached": unreached}
         state = AdamState(params, lr=0.1)
         with T.Tape() as tape:
+            backward_and_step(state, params, tape,
+                              T.add(T.mse(w, T.leaf([0.0])),
+                                    T.mse(unreached, T.leaf([0.0]))))
+        m1, v1 = state.m["unreached"].copy(), state.v["unreached"].copy()
+        assert m1[0] != 0.0 and v1[0] != 0.0
+        data1 = unreached.data.copy()
+        with T.Tape() as tape:
             backward_and_step(state, params, tape, T.mse(w, T.leaf([0.0])))
-        np.testing.assert_allclose(w.grad, [6.0])
-        assert np.array_equal(unreached.grad, [0.0])
-        assert np.array_equal(unreached.data, [1.0])
-        assert state.step_count == 1
+        m2, v2 = state.m["unreached"], state.v["unreached"]
+        assert np.array_equal(m2, m1 * BETA1)
+        assert np.array_equal(v2, v1 * BETA2)
+        step = 0.1 * (m2 / (1 - BETA1 ** 2)) / (np.sqrt(v2 / (1 - BETA2 ** 2)) + EPS)
+        assert np.array_equal(unreached.data, data1 - step)
+        assert state.step_count == 2
 
     def test_converges_on_quadratic(self):
-        w = T.leaf([3.0], requires_grad=True)
+        w = T.leaf([3.0])
         state = AdamState({"w": w}, lr=0.1)
         for _ in range(100):
             with T.Tape() as tape:
-                tape.backward(T.mse(w, T.leaf([2.0])))
-            adam_step(state, {"w": w})
+                grads = tape.backward(T.mse(w, T.leaf([2.0])), [w])
+            adam_step(state, {"w": w}, grads)
         assert abs(w.data[0] - 2.0) < 0.05
