@@ -1,4 +1,4 @@
-"""Binary checkpoint format for named parameter tensors.
+"""Binary checkpoint format for named parameter arrays.
 
 Layout (little-endian): magic "BDIF", version u32, count u32, then per
 parameter: name length u16, name bytes (utf-8), rank u8, dims u32 each,
@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import DiffTensor
-
 MAGIC = b"BDIF"
 VERSION = 1
 
@@ -23,14 +21,13 @@ class CheckpointError(IOError):
     pass
 
 
-def save_params(path, params: dict[str, DiffTensor | np.ndarray]) -> None:
+def save_params(path, params: dict[str, np.ndarray]) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, p in params.items():
-            arr = np.asarray(p.data if isinstance(p, DiffTensor) else p,
-                             dtype=np.float64, order="C")
+            arr = np.asarray(p, dtype=np.float64, order="C")
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
@@ -40,7 +37,7 @@ def save_params(path, params: dict[str, DiffTensor | np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def load_params(path) -> dict[str, DiffTensor]:
+def load_params(path) -> dict[str, np.ndarray]:
     """Read a checkpoint; a malformed or truncated file raises
     CheckpointError naming the path and the byte offset."""
     path = Path(path)
@@ -61,7 +58,7 @@ def load_params(path) -> dict[str, DiffTensor]:
     version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    params: dict[str, DiffTensor] = {}
+    params: dict[str, np.ndarray] = {}
     for _ in range(count):
         at = pos
         (nlen,) = struct.unpack("<H", take(2, "name length"))
@@ -74,5 +71,5 @@ def load_params(path) -> dict[str, DiffTensor]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         n = math.prod(dims)
         data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
-        params[name] = DiffTensor(data.reshape(dims).copy())
+        params[name] = data.reshape(dims).astype(np.float64)
     return params

@@ -107,7 +107,7 @@ def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
 
 # ------------------------------------------------------------ conv plumbing
 #
-# Feature maps are (H*W, C) tensors; convolution is an im2col gather (index
+# Feature maps are (H*W, C) arrays; convolution is an im2col gather (index
 # -1 marks zero padding) followed by a linear map with a (9*Cin, Cout) kernel.
 
 
@@ -135,8 +135,8 @@ def _upsample_indices(h: int, w: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _conv(x: T.DiffTensor, wgt: T.DiffTensor, bias: T.DiffTensor,
-          h: int, w: int, stride: int = 1, dilation: int = 1) -> T.DiffTensor:
+def _conv(x: np.ndarray, wgt: np.ndarray, bias: np.ndarray,
+          h: int, w: int, stride: int = 1, dilation: int = 1) -> np.ndarray:
     cin = x.shape[1]
     cols = T.gather_rows(x, _conv_indices(h, w, stride, dilation))
     n_out = cols.shape[0] // 9
@@ -147,7 +147,7 @@ def _conv(x: T.DiffTensor, wgt: T.DiffTensor, bias: T.DiffTensor,
 ENC_CHANNELS = (8, 16, 32)
 
 
-def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, T.DiffTensor]:
+def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, np.ndarray]:
     if img_size % 8 != 0:
         raise ValueError("image size must be divisible by 8")
     rng = np.random.default_rng(seed)
@@ -156,13 +156,13 @@ def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, T.DiffTensor]:
     flat = base * base * c3
 
     def conv_w(cin, cout):
-        return T.leaf(rng.uniform(-1, 1, (9 * cin, cout)) * np.sqrt(6.0 / (9 * cin)))
+        return rng.uniform(-1, 1, (9 * cin, cout)) * np.sqrt(6.0 / (9 * cin))
 
     def lin_w(nin, nout):
-        return T.leaf(rng.uniform(-1, 1, (nin, nout)) * np.sqrt(6.0 / nin))
+        return rng.uniform(-1, 1, (nin, nout)) * np.sqrt(6.0 / nin)
 
     def b(n):
-        return T.leaf(np.zeros(n))
+        return np.zeros(n)
 
     return {
         "enc.c1": conv_w(1, c1), "enc.b1": b(c1),
@@ -177,9 +177,9 @@ def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, T.DiffTensor]:
     }
 
 
-def _encode_graph(params, pixels: np.ndarray) -> T.DiffTensor:
+def _encode_graph(params, pixels: np.ndarray) -> np.ndarray:
     h = w = pixels.shape[0]
-    x = T.leaf(pixels.reshape(h * w, 1))
+    x = pixels.reshape(h * w, 1)
     x = T.leaky_relu(_conv(x, params["enc.c1"], params["enc.b1"], h, w, stride=2))
     h //= 2; w //= 2
     x = T.leaky_relu(_conv(x, params["enc.c2"], params["enc.b2"], h, w, stride=2))
@@ -191,7 +191,7 @@ def _encode_graph(params, pixels: np.ndarray) -> T.DiffTensor:
     return T.linear(flat, params["enc.proj"], params["enc.projb"])
 
 
-def _decode_graph(params, z: T.DiffTensor, img_size: int) -> T.DiffTensor:
+def _decode_graph(params, z: np.ndarray, img_size: int) -> np.ndarray:
     c1, c2, c3 = ENC_CHANNELS
     h = w = img_size // 8
     x = T.linear(z, params["dec.lin"], params["dec.linb"])
@@ -208,21 +208,19 @@ def _decode_graph(params, z: T.DiffTensor, img_size: int) -> T.DiffTensor:
     return T.sigmoid(T.reshape(x, (h, w)))
 
 
-def encode(params: dict[str, T.DiffTensor], img: SilhouetteImage) -> ConditionEmbedding:
+def encode(params: dict[str, np.ndarray], img: SilhouetteImage) -> ConditionEmbedding:
     """Forward-only: buildiff calls it outside any Tape, so it keeps no graph."""
     size = _expected_size(params)
     if img.height != size or img.width != size:
         raise ValueError(f"expected {size}x{size} image, got {img.height}x{img.width}")
     z = _encode_graph(params, img.pixels)
-    return ConditionEmbedding(z.data.reshape(-1))
+    return ConditionEmbedding(z.reshape(-1))
 
 
-def decode(params: dict[str, T.DiffTensor], z: ConditionEmbedding) -> SilhouetteImage:
+def decode(params: dict[str, np.ndarray], z: ConditionEmbedding) -> SilhouetteImage:
     """Forward-only, like encode."""
     size = _expected_size(params)
-    zt = T.leaf(z.values.reshape(1, -1))
-    img = _decode_graph(params, zt, size)
-    return SilhouetteImage(img.data)
+    return SilhouetteImage(_decode_graph(params, z.values.reshape(1, -1), size))
 
 
 def _expected_size(params) -> int:
@@ -231,15 +229,15 @@ def _expected_size(params) -> int:
     return base * 8
 
 
-def ae_loss(I: T.DiffTensor, I_hat: T.DiffTensor, z_I: T.DiffTensor,
-            z_I_a: T.DiffTensor) -> T.DiffTensor:
+def ae_loss(I: np.ndarray, I_hat: np.ndarray, z_I: np.ndarray,
+            z_I_a: np.ndarray) -> np.ndarray:
     """Reconstruction MSE plus embedding-consistency MSE."""
     return T.add(T.mse(I, I_hat), T.mse(z_I, z_I_a))
 
 
 def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
                       lr: float = 0.0002, d: int = 128, seed: int = 0,
-                      log_fn=None) -> dict[str, T.DiffTensor]:
+                      log_fn=None) -> dict[str, np.ndarray]:
     """Train on the image list; returns the parameters (caller treats them
     as frozen afterwards)."""
     if not images:
@@ -258,7 +256,7 @@ def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
                 z = _encode_graph(params, img.pixels)
                 recon = _decode_graph(params, z, size)
                 z_a = _encode_graph(params, aug.pixels)
-                loss = ae_loss(T.leaf(img.pixels), recon, z, z_a)
+                loss = ae_loss(img.pixels, recon, z, z_a)
                 if not np.isfinite(loss.item()):
                     raise FloatingPointError(f"autoencoder diverged at epoch {epoch}")
                 backward_and_step(state, params, tape, loss)

@@ -28,7 +28,7 @@ def _kaiming(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, T.DiffTensor]:
+def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     d, w1, w2, wd = cfg.d, cfg.w1, cfg.w2, cfg.wd
     spec = {
@@ -49,43 +49,45 @@ def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, T.DiffTens
         "dec.w2": (wd, (wd, wd)),
         "dec.b2": None,
     }
-    params: dict[str, T.DiffTensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name, s in spec.items():
         if s is None:
             out_dim = params[name.replace(".b", ".w")].shape[1]
-            params[name] = T.leaf(np.zeros(out_dim))
+            params[name] = np.zeros(out_dim)
         else:
             fan_in, shape = s
-            params[name] = T.leaf(_kaiming(rng, fan_in, shape))
+            params[name] = _kaiming(rng, fan_in, shape)
     # final layer zero so the fresh network predicts eps ~ 0
-    params["dec.out_w"] = T.leaf(np.zeros((wd, 3)))
-    params["dec.out_b"] = T.leaf(np.zeros(3))
-    params["null_embed"] = T.leaf(rng.uniform(-0.1, 0.1, size=d))
+    params["dec.out_w"] = np.zeros((wd, 3))
+    params["dec.out_b"] = np.zeros(3)
+    params["null_embed"] = rng.uniform(-0.1, 0.1, size=d)
     return params
 
 
-def fuse_conditions(params: dict[str, T.DiffTensor], z_I: np.ndarray | None,
-                    t: int) -> T.DiffTensor:
+def fuse_conditions(params: dict[str, np.ndarray], z_I: np.ndarray | None,
+                    t: int) -> np.ndarray:
     """Build the (1, d) condition feature row from the time embedding and
     the image embedding (or the learned null embedding when dropped)."""
     d = params["null_embed"].shape[0]
     if z_I is not None and len(np.asarray(z_I).reshape(-1)) != d:
         raise ValueError(f"condition dim {len(z_I)} != d={d}")
-    zt = T.leaf(sinusoidal_embedding(t, d).reshape(1, d))
+    zt = sinusoidal_embedding(t, d).reshape(1, d)
     zt = T.leaky_relu(T.linear(zt, params["time.w1"], params["time.b1"]))
     zt = T.leaky_relu(T.linear(zt, params["time.w2"], params["time.b2"]))
     if z_I is None:
         cond = T.reshape(params["null_embed"], (1, d))
     else:
-        cond = T.leaf(np.asarray(z_I, dtype=np.float64).reshape(1, d))
+        cond = np.asarray(z_I, dtype=np.float64).reshape(1, d)
     both = T.concat_last_axis([cond, zt])
     h = T.leaky_relu(T.linear(both, params["fuse.w1"], params["fuse.b1"]))
     return T.leaky_relu(T.linear(h, params["fuse.w2"], params["fuse.b2"]))
 
 
-def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
+def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
                   z_I: np.ndarray | None, guided: bool = False):
-    """Differentiable forward pass; returns the (K, 3) noise prediction.
+    """Forward pass; returns the (K, 3) noise prediction. Inside a Tape
+    it records the graph for training; outside one, as sampling calls it,
+    it keeps none.
 
     The max-pool context and the fused time/condition features are the same
     on every row, so they are computed once as (1, .) rows and enter the
@@ -97,8 +99,7 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
     """
     if xt.ndim != 2 or xt.shape[1] != 3:
         raise ValueError(f"xt must be (K,3), got {xt.shape}")
-    x = T.leaf(xt)
-    h = T.leaky_relu(T.linear(x, params["point.w1"], params["point.b1"]))
+    h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
     w2 = h.shape[1]
     # the rows of dec.w1 are the blocks [h | ctx | fused] (checkpoint layout)
@@ -113,7 +114,7 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
         out = T.leaky_relu(T.linear(h, w_h, bias))
         out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
         out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
-        if not np.all(np.isfinite(out.data)):
+        if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite activations in decoder output")
         return out
 
@@ -122,20 +123,11 @@ def denoise_graph(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
     return decode(z_I)
 
 
-def denoise(params: dict[str, T.DiffTensor], xt: np.ndarray, t: int,
-            z_I: np.ndarray | None, guided: bool = False):
-    """Forward-only: buildiff calls it outside any Tape, so it keeps no
-    graph. With guided=True, returns (eps_cond, eps_uncond)."""
-    out = denoise_graph(params, xt, t, z_I, guided=guided)
-    if guided:
-        return out[0].data, out[1].data
-    return out.data
-
-
-def make_model(params: dict[str, T.DiffTensor]):
+def make_model(params: dict[str, np.ndarray]):
     """Adapter for the sampling loops: model(xt, t, z_I_or_None) -> (K,3);
     model(xt, t, z_I, guided=True) -> (eps_cond, eps_uncond) from one
-    shared point trunk."""
+    shared point trunk. denoise_graph is looked up at each call, so a
+    wrapper patched into this module sees the sampling calls too."""
     def model(xt, t, z_I, guided=False):
-        return denoise(params, xt, t, z_I, guided=guided)
+        return denoise_graph(params, xt, t, z_I, guided=guided)
     return model

@@ -22,22 +22,13 @@ def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray,
 
 def reconstruct_x0(xt: np.ndarray, t: int, eps_hat: np.ndarray,
                    schedule: NoiseSchedule) -> np.ndarray:
-    """Algebraic inverse of forward_noise given a noise estimate."""
+    """Algebraic inverse of forward_noise given a noise estimate. Inside a
+    Tape, as the footprint loss runs it, gradients flow through eps_hat;
+    xt is a constant."""
     if xt.shape != eps_hat.shape:
         raise ValueError(f"reconstruct_x0: shapes {xt.shape} vs {eps_hat.shape}")
     ab = schedule.alpha_bar(t)
-    return (xt - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-
-
-def reconstruct_x0_diff(xt: np.ndarray, t: int, eps_hat: T.DiffTensor,
-                        schedule: NoiseSchedule) -> T.DiffTensor:
-    """Differentiable reconstruction used inside the footprint loss; xt is a
-    constant, gradients flow through eps_hat only."""
-    if tuple(xt.shape) != tuple(eps_hat.shape):
-        raise ValueError(f"reconstruct_x0: shapes {xt.shape} vs {eps_hat.shape}")
-    ab = schedule.alpha_bar(t)
-    xt_c = T.leaf(xt)
-    return T.scale(T.add(xt_c, T.scale(eps_hat, -np.sqrt(1.0 - ab))),
+    return T.scale(T.add(xt, T.scale(eps_hat, -np.sqrt(1.0 - ab))),
                    1.0 / np.sqrt(ab))
 
 

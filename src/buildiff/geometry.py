@@ -118,12 +118,19 @@ def save_bpc(path, cloud: PointCloud) -> None:
 
 
 def load_bpc(path) -> PointCloud:
-    with open(path, "rb") as fh:
-        if fh.read(4) != BPC_MAGIC:
-            raise IOError(f"{path}: not a BPC1 file")
-        (n,) = struct.unpack("<I", fh.read(4))
-        pts = np.frombuffer(fh.read(12 * n), dtype="<f4").reshape(n, 3)
-        return PointCloud(pts.astype(np.float64))
+    """Read a BPC1 file. A header shorter than 8 bytes or a payload shorter
+    than its point count needs raises IOError naming the path."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != BPC_MAGIC:
+        raise IOError(f"{path}: not a BPC1 file")
+    if len(raw) < 8:
+        raise IOError(f"{path}: BPC header needs 8 bytes, the file has {len(raw)}")
+    (n,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) - 8 < 12 * n:
+        raise IOError(f"{path}: BPC count {n} needs {12 * n} payload bytes, "
+                      f"the file has {len(raw) - 8}")
+    pts = np.frombuffer(raw, dtype="<f4", count=3 * n, offset=8).reshape(n, 3)
+    return PointCloud(pts.astype(np.float64))
 
 
 def save_ply(path, cloud: PointCloud) -> None:

@@ -18,7 +18,7 @@ from .checkpoint import load_params, save_params
 from .conditioner import (ConditionEmbedding, encode, load_pgm,
                           train_autoencoder)
 from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
-from .diffusion import forward_noise, reconstruct_x0_diff
+from .diffusion import forward_noise, reconstruct_x0
 from .datagen import DatasetManifest
 from .geometry import (PointCloud, farthest_point_sample, load_bpc,
                        nearest_indices)
@@ -122,29 +122,28 @@ class StepLog:
         return json.dumps(dataclasses.asdict(self))
 
 
-def regularization_loss(x0: np.ndarray, x0_hat: T.DiffTensor, t: int,
-                        schedule: NoiseSchedule) -> T.DiffTensor:
+def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
+                        schedule: NoiseSchedule) -> np.ndarray:
     """lambda(t) * Chamfer(proj(x0), proj(x0_hat)).
 
     Nearest-neighbour indices are taken as constants for the backward pass
     (the standard Chamfer subgradient). When lambda(t) is 0 the Chamfer
     computation is skipped entirely and a constant zero is returned.
     """
-    if x0.shape != tuple(x0_hat.shape):
+    if x0.shape != x0_hat.shape:
         raise ValueError(f"count mismatch: {x0.shape} vs {x0_hat.shape}")
     lam = lambda_weight(t, schedule.T)
     if lam == 0.0:
-        return T.leaf(np.array(0.0))
+        return np.array(0.0)
     mask = np.ones_like(x0)
     mask[:, 2] = 0.0
     gt = x0 * mask
-    proj_hat = T.mul(x0_hat, T.leaf(mask))
-    hat_vals = proj_hat.data
-    idx_hat_to_gt = nearest_indices(hat_vals, gt)
-    idx_gt_to_hat = nearest_indices(gt, hat_vals)
+    proj_hat = T.mul(x0_hat, mask)
+    idx_hat_to_gt = nearest_indices(proj_hat, gt)
+    idx_gt_to_hat = nearest_indices(gt, proj_hat)
     # mean squared point distance = 3 * elementwise MSE over (n,3)
-    term1 = T.scale(T.mse(proj_hat, T.leaf(gt[idx_hat_to_gt])), 3.0)
-    term2 = T.scale(T.mse(T.gather_rows(proj_hat, idx_gt_to_hat), T.leaf(gt)), 3.0)
+    term1 = T.scale(T.mse(proj_hat, gt[idx_hat_to_gt]), 3.0)
+    term2 = T.scale(T.mse(T.gather_rows(proj_hat, idx_gt_to_hat), gt), 3.0)
     return T.scale(T.add(term1, term2), lam)
 
 
@@ -175,8 +174,8 @@ def train_step(params, state: AdamState,
             xt[:K] = fixed
             eps_hat = denoise_graph(params, xt, t, z_I)
             noisy = T.gather_rows(eps_hat, np.arange(K, N)) if K else eps_hat
-            eps_terms.append(T.mse(T.leaf(eps[K:]), noisy))
-            x0_hat = reconstruct_x0_diff(xt, t, eps_hat, schedule)
+            eps_terms.append(T.mse(eps[K:], noisy))
+            x0_hat = reconstruct_x0(xt, t, eps_hat, schedule)
             reg_terms.append(regularization_loss(x0, x0_hat, t, schedule))
             ts.append(t)
             lams.append(lambda_weight(t, schedule.T))
@@ -193,7 +192,7 @@ def train_step(params, state: AdamState,
                    t_drawn=ts, lambda_drawn=lams, dropped=drops)
 
 
-def _sum(terms: list[T.DiffTensor]) -> T.DiffTensor:
+def _sum(terms: list[np.ndarray]) -> np.ndarray:
     acc = terms[0]
     for t in terms[1:]:
         acc = T.add(acc, t)
@@ -262,7 +261,7 @@ def _save_training_state(path: Path, params, state: AdamState, epoch: int,
     config.save(path.with_suffix(".config"))
 
 
-def model_params(blob: dict[str, T.DiffTensor]) -> dict[str, T.DiffTensor]:
+def model_params(blob: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """A training checkpoint's model parameters: all but the "opt." records."""
     return {k: v for k, v in blob.items() if not k.startswith("opt.")}
 
@@ -272,8 +271,8 @@ def _load_training_state(path: Path, lr: float):
     params = model_params(blob)
     state = AdamState(params, lr=lr)
     for name in params:
-        state.m[name] = blob[f"opt.m.{name}"].data
-        state.v[name] = blob[f"opt.v.{name}"].data
+        state.m[name] = blob[f"opt.m.{name}"]
+        state.v[name] = blob[f"opt.v.{name}"]
     state.step_count = int(blob["opt.step"].item())
     epoch = int(blob["opt.epoch"].item())
     with open(path.with_suffix(".rng.json")) as fh:

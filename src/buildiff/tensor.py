@@ -1,12 +1,16 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays.
+"""Minimal reverse-mode autodiff over plain float64 numpy arrays.
 
 Everything trainable in this project (denoiser, conditioner, losses) is
-expressed through the op set below. Ops record only inside ``with Tape():``,
-on a thread-local Tape; outside one they keep no graph, as sampling runs.
-``Tape.backward(loss, wrt)`` walks the tape in reverse and returns the
-gradient of each tensor in ``wrt``; no gradient is stored on a tensor.
-No implicit broadcasting: shapes must match exactly. A bias row enters
-only through ``linear``, the one affine op; no other op broadcasts.
+expressed through the op set below. Each op takes and returns C-ordered
+float64 ``np.ndarray``s; there is no tensor type. Ops record only inside
+``with Tape():``, on a thread-local Tape; outside one they keep no graph, as
+sampling runs. ``Tape.backward(loss, wrt)`` walks the tape in reverse and
+returns the gradient of each array in ``wrt``, matched by ``id()``: a view
+of a parameter is another array and gets no gradient, so parameters enter
+a graph only through ops (``reshape``, ``gather_rows``), never through
+numpy indexing. No implicit broadcasting: shapes must match exactly. A
+bias row enters only through ``linear``, the one affine op; no other op
+broadcasts.
 """
 
 from __future__ import annotations
@@ -21,33 +25,6 @@ _tls = threading.local()
 
 class ShapeError(ValueError):
     pass
-
-
-class DiffTensor:
-    """A value in the computation graph, stored row-major as float64."""
-
-    __slots__ = ("shape", "data")
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        self.data = arr
-        self.shape = arr.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"DiffTensor(shape={self.shape})"
-
-
-def leaf(data) -> DiffTensor:
-    return DiffTensor(data)
 
 
 class _TapeEntry:
@@ -75,19 +52,19 @@ class Tape:
         _tls.tape = self._prev
         return False
 
-    def record(self, inputs: Sequence[DiffTensor], output: DiffTensor,
+    def record(self, inputs: Sequence[np.ndarray], output: np.ndarray,
                backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.entries.append(_TapeEntry(list(inputs), output, backward_fn))
 
-    def backward(self, loss: DiffTensor,
-                 wrt: Sequence[DiffTensor]) -> list[np.ndarray]:
-        """Gradient of loss with respect to each leaf in wrt (a tensor no
+    def backward(self, loss: np.ndarray,
+                 wrt: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Gradient of loss with respect to each array in wrt (one that no
         op on this tape produced), in that order; zeros where the loss
         does not reach. Gradients are keyed by id(): the tape holds every
-        tensor it names, so no id is reused while it runs."""
-        if loss.data.size != 1:
+        array it names, so no id is reused while it runs."""
+        if loss.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
         for entry in reversed(self.entries):
             gout = grads.pop(id(entry.output), None)
             if gout is None:
@@ -101,12 +78,14 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-        return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+        return [grads[id(t)] if id(t) in grads else np.zeros_like(t)
                 for t in wrt]
 
 
-def _make(inputs, value, backward_fn) -> DiffTensor:
-    out = DiffTensor(value)
+def _make(inputs, value, backward_fn) -> np.ndarray:
+    # numpy returns a 0-d result (of add, mul, scale or mse's mean) as an
+    # np.float64 scalar; the tape and the callers want an array
+    out = np.asarray(value)
     tape = getattr(_tls, "tape", None)
     if tape is not None:
         tape.record(inputs, out, backward_fn)
@@ -116,41 +95,39 @@ def _make(inputs, value, backward_fn) -> DiffTensor:
 # ---------------------------------------------------------------- op kinds
 
 
-def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
-    return _make([a, b], a.data + b.data, lambda g: (g, g))
+    return _make([a, b], a + b, lambda g: (g, g))
 
 
-def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _make([a, b], ad * bd, lambda g: (g * bd, g * ad))
+    return _make([a, b], a * b, lambda g: (g * b, g * a))
 
 
-def scale(a: DiffTensor, c: float) -> DiffTensor:
+def scale(a: np.ndarray, c: float) -> np.ndarray:
     c = float(c)
-    return _make([a], a.data * c, lambda g: (g * c,))
+    return _make([a], a * c, lambda g: (g * c,))
 
 
-def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Affine map x@W + b of a (K, Cin) tensor, with b of shape (C,) or
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Affine map x@W + b of a (K, Cin) array, with b of shape (C,) or
     (1, C) added to every row; its gradient sums the rows of g."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape}")
-    xd, wd = x.data, w.data
-    out = xd @ wd
-    out += b.data
+    out = x @ w
+    out += b
 
     def bwd(g):
-        return (g @ wd.T, xd.T @ g, g.sum(axis=0).reshape(b.shape))
+        return (g @ w.T, x.T @ g, g.sum(axis=0).reshape(b.shape))
 
     return _make([x, w, b], out, bwd)
 
 
-def concat_last_axis(parts: Sequence[DiffTensor]) -> DiffTensor:
+def concat_last_axis(parts: Sequence[np.ndarray]) -> np.ndarray:
     if not parts:
         raise ShapeError("concat_last_axis: no inputs")
     lead = parts[0].shape[:-1]
@@ -164,113 +141,112 @@ def concat_last_axis(parts: Sequence[DiffTensor]) -> DiffTensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=-1))
 
-    return _make(list(parts), np.concatenate([p.data for p in parts], axis=-1), bwd)
+    return _make(list(parts), np.concatenate(parts, axis=-1), bwd)
 
 
-def leaky_relu(a: DiffTensor, slope: float = 0.01) -> DiffTensor:
+def leaky_relu(a: np.ndarray, slope: float = 0.01) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
     # max(a, slope*a) equals a*coef, coef = 1 where a >= 0 else slope, bit
     # for bit; the backward builds coef with a cast rather than np.where,
     # which is several times slower
-    ad = a.data
-    out = ad * slope
-    np.maximum(ad, out, out=out)
+    out = a * slope
+    np.maximum(a, out, out=out)
 
     def bwd(g):
-        coef = np.maximum(ad >= 0, slope)
+        coef = np.maximum(a >= 0, slope)
         coef *= g
         return (coef,)
 
     return _make([a], out, bwd)
 
 
-def sigmoid(a: DiffTensor) -> DiffTensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    y = 1.0 / (1.0 + np.exp(-a))
     return _make([a], y, lambda g: (g * y * (1.0 - y),))
 
 
-def reduce_max_over_points(a: DiffTensor) -> DiffTensor:
-    """Max over axis 0 of a (K, C) tensor. Ties route gradient to the
+def reduce_max_over_points(a: np.ndarray) -> np.ndarray:
+    """Max over axis 0 of a (K, C) array. Ties route gradient to the
     lowest index, so backward is deterministic."""
-    if a.data.ndim != 2:
+    if a.ndim != 2:
         raise ShapeError(f"reduce_max_over_points expects 2D, got {a.shape}")
     # np.argmax(a, axis=0) strides down the columns of a C-ordered array;
     # comparing against the column maxima gives the same first index faster.
-    m = a.data.max(axis=0)
-    idx = (a.data == m).argmax(axis=0)
+    m = a.max(axis=0)
+    idx = (a == m).argmax(axis=0)
     nan = np.isnan(m)
     if nan.any():  # a NaN is the max, as np.argmax has it
-        idx[nan] = np.isnan(a.data[:, nan]).argmax(axis=0)
+        idx[nan] = np.isnan(a[:, nan]).argmax(axis=0)
     cols = np.arange(a.shape[1])
-    val = a.data[idx, cols]  # the picked element, so the sign of a zero matches
+    val = a[idx, cols]  # the picked element, so the sign of a zero matches
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros_like(a)
         ga[idx, cols] = g
         return (ga,)
 
     return _make([a], val, bwd)
 
 
-def mse(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+def mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"mse: shapes {a.shape} vs {b.shape}")
-    d = a.data - b.data
+    d = a - b
     n = d.size
-    return _make([a, b], np.array(np.mean(d * d)),
+    return _make([a, b], np.mean(d * d),
                  lambda g: (g.item() * 2.0 / n * d, g.item() * -2.0 / n * d))
 
 
-def gather_rows(a: DiffTensor, indices) -> DiffTensor:
-    """Select rows of a 2D tensor. A negative index yields a zero row
+def gather_rows(a: np.ndarray, indices) -> np.ndarray:
+    """Select rows of a 2D array. A negative index yields a zero row
     (used for implicit zero padding); gradient scatters to valid rows only."""
-    if a.data.ndim != 2:
+    if a.ndim != 2:
         raise ShapeError(f"gather_rows expects 2D, got {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
     valid = idx >= 0
     safe = np.where(valid, idx, 0)
-    out = a.data[safe]
+    out = a[safe]
     out[~valid] = 0.0
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros_like(a)
         np.add.at(ga, safe[valid], g[valid])
         return (ga,)
 
     return _make([a], out, bwd)
 
 
-def reshape(a: DiffTensor, shape) -> DiffTensor:
+def reshape(a: np.ndarray, shape) -> np.ndarray:
     shape = tuple(shape)
-    return _make([a], a.data.reshape(shape), lambda g: (g.reshape(a.shape),))
+    return _make([a], a.reshape(shape), lambda g: (g.reshape(a.shape),))
 
 
 # ---------------------------------------------------------------- oracle
 
 
-def finite_diff_grad(f: Callable[[list[DiffTensor]], float],
-                     params: list[DiffTensor], step: float = 1e-6) -> list[np.ndarray]:
+def finite_diff_grad(f: Callable[[list[np.ndarray]], float],
+                     params: list[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
     """Central-difference gradient of a scalar function, element by element.
 
-    Test oracle only; f must be deterministic in the params.
+    Test oracle only; f must be deterministic in the params, which are
+    perturbed in place and restored.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     grads = []
     for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        g = np.zeros_like(p)
+        # index p itself: p.reshape(-1) is a copy when p is not C-contiguous
+        for i in np.ndindex(p.shape):
+            orig = p[i]
+            p[i] = orig + step
             fp = f(params)
-            flat[i] = orig - step
+            p[i] = orig - step
             fm = f(params)
-            flat[i] = orig
+            p[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise ValueError("finite_diff_grad: non-finite function value")
-            gflat[i] = (fp - fm) / (2.0 * step)
+            g[i] = (fp - fm) / (2.0 * step)
         grads.append(g)
     return grads

@@ -24,8 +24,7 @@ from buildiff.datagen import DatasetManifest, build_dataset, roof_oracle
 from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                init_denoiser_params, make_model)
 from buildiff.diffusion import (ancestral_step, forward_noise, guided_epsilon,
-                                reconstruct_x0, reconstruct_x0_diff,
-                                sample_base, sample_upsampled)
+                                reconstruct_x0, sample_base, sample_upsampled)
 from buildiff.geometry import PointCloud, normalize_unit_cube
 from buildiff.metrics import chamfer, emd, fscore
 from buildiff.pipeline import (regularization_loss, run_training, toy_config,
@@ -85,7 +84,7 @@ def test_criterion_03_guidance_algebra():
     sch = linear_beta_schedule(50)
     params = init_denoiser_params(DenoiserConfig(d=8, w1=6, w2=10, wd=12), seed=0)
     rng0 = np.random.default_rng(77)
-    params["dec.out_w"].data = rng0.normal(size=params["dec.out_w"].shape) * 0.05
+    params["dec.out_w"][...] = rng0.normal(size=params["dec.out_w"].shape) * 0.05
     model = make_model(params)
     z_I = rng0.normal(size=8)
 
@@ -164,7 +163,7 @@ def test_criterion_06_gradient_correctness():
     sch = linear_beta_schedule(100)
     params = init_denoiser_params(DenoiserConfig(d=8, w1=6, w2=10, wd=12), seed=0)
     rng = np.random.default_rng(3)
-    params["dec.out_w"].data = rng.normal(size=params["dec.out_w"].shape) * 0.05
+    params["dec.out_w"][...] = rng.normal(size=params["dec.out_w"].shape) * 0.05
     x0 = rng.normal(size=(8, 3)) * 0.5
     eps = rng.normal(size=(8, 3))
     z = rng.normal(size=8)
@@ -176,15 +175,15 @@ def test_criterion_06_gradient_correctness():
         p = dict(zip(names, values))
         with T.Tape():
             eps_hat = denoise_graph(p, xt, t, z)
-            L_eps = T.mse(T.leaf(eps), eps_hat)
-            x0_hat = reconstruct_x0_diff(xt, t, eps_hat, sch)
+            L_eps = T.mse(eps, eps_hat)
+            x0_hat = reconstruct_x0(xt, t, eps_hat, sch)
             L_reg = regularization_loss(x0, x0_hat, t, sch)
             return T.add(L_eps, T.scale(L_reg, rho)).item()
 
     with T.Tape() as tape:
         eps_hat = denoise_graph(params, xt, t, z)
-        L_eps = T.mse(T.leaf(eps), eps_hat)
-        x0_hat = reconstruct_x0_diff(xt, t, eps_hat, sch)
+        L_eps = T.mse(eps, eps_hat)
+        x0_hat = reconstruct_x0(xt, t, eps_hat, sch)
         L_reg = regularization_loss(x0, x0_hat, t, sch)
         ad = tape.backward(T.add(L_eps, T.scale(L_reg, rho)),
                            [params[n] for n in names])
@@ -261,7 +260,7 @@ def test_criterion_09_upsampler_exactness():
     sch = linear_beta_schedule(50)
     params = init_denoiser_params(DenoiserConfig(d=8, w1=6, w2=10, wd=12), seed=0)
     rng = np.random.default_rng(5)
-    params["dec.out_w"].data = rng.normal(size=params["dec.out_w"].shape) * 0.05
+    params["dec.out_w"][...] = rng.normal(size=params["dec.out_w"].shape) * 0.05
     lowres = PointCloud(rng.normal(size=(32, 3)))
     out, _ = sample_upsampled(make_model(params), rng.normal(size=8), lowres,
                               128, 4.0, seed=6, schedule=sch)

@@ -17,8 +17,8 @@ def test_round_trip(tmp_path):
     back = load_params(path)
     assert list(back) == list(params)
     for name, arr in params.items():
-        assert back[name].data.shape == arr.shape
-        assert np.array_equal(back[name].data, arr)
+        assert back[name].shape == arr.shape
+        assert np.array_equal(back[name], arr)
 
 
 def test_truncation_at_every_offset_names_path_and_offset(tmp_path):

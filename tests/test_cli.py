@@ -2,13 +2,15 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from buildiff.cli import _load_config, build_parser, main
-from buildiff.geometry import PointCloud, load_bpc, load_ply, save_bpc, save_ply
+from buildiff.geometry import (BPC_MAGIC, PointCloud, load_bpc, load_ply,
+                               save_bpc, save_ply)
 from buildiff.pipeline import TrainConfig
 
 
@@ -339,6 +341,20 @@ class TestExport:
     def test_unreadable_input_exits_3(self, tmp_path):
         assert run(["export", "--input", str(tmp_path / "missing.ply"),
                     "--out", str(tmp_path / "o.bpc")]) == 3
+
+    @pytest.mark.parametrize("raw,want", [
+        (BPC_MAGIC + b"\x05\x00", "header needs 8 bytes, the file has 6"),
+        (BPC_MAGIC + struct.pack("<I", 3) + bytes(30),
+         "count 3 needs 36 payload bytes, the file has 30"),
+    ], ids=["short-header", "short-payload"])
+    def test_malformed_bpc_exits_3(self, tmp_path, capsys, raw, want):
+        src = tmp_path / "bad.bpc"
+        src.write_bytes(raw)
+        assert run(["export", "--input", str(src),
+                    "--out", str(tmp_path / "o.ply")]) == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and want in err
+        assert not (tmp_path / "o.ply").exists()
 
     def test_unsupported_format_exits_3(self, tmp_path):
         src = tmp_path / "c.ply"

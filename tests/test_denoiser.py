@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
-from buildiff.denoiser import (DenoiserConfig, denoise, denoise_graph,
+from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                fuse_conditions, init_denoiser_params,
                                make_model)
 from buildiff.diffusion import sample_base
@@ -18,20 +18,20 @@ def small_params(seed=0):
 class TestInit:
     def test_decoder_output_layer_zero(self):
         p = small_params()
-        assert np.all(p["dec.out_w"].data == 0.0)
-        assert np.all(p["dec.out_b"].data == 0.0)
+        assert np.all(p["dec.out_w"] == 0.0)
+        assert np.all(p["dec.out_b"] == 0.0)
 
     def test_fresh_network_predicts_zero(self):
         p = small_params()
         rng = np.random.default_rng(1)
-        out = denoise(p, rng.normal(size=(5, 3)), 3, rng.normal(size=8))
+        out = denoise_graph(p, rng.normal(size=(5, 3)), 3, rng.normal(size=8))
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_deterministic_init(self):
         a = small_params(seed=7)
         b = small_params(seed=7)
         for k in a:
-            np.testing.assert_array_equal(a[k].data, b[k].data)
+            np.testing.assert_array_equal(a[k], b[k])
 
     def test_default_parameter_count_under_budget(self):
         p = init_denoiser_params(DenoiserConfig(), seed=0)
@@ -43,8 +43,8 @@ def randomize_output_layer(p, seed=0):
     """Fresh nets predict exactly zero; perturb the final layer so the
     forward pass actually exercises every branch."""
     rng = np.random.default_rng(seed)
-    p["dec.out_w"].data = rng.normal(size=p["dec.out_w"].shape) * 0.1
-    p["dec.out_b"].data = rng.normal(size=3) * 0.1
+    p["dec.out_w"][...] = rng.normal(size=p["dec.out_w"].shape) * 0.1
+    p["dec.out_b"][...] = rng.normal(size=3) * 0.1
     return p
 
 
@@ -53,7 +53,7 @@ class TestForward:
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(2)
         for k in (1, 4, 17):
-            out = denoise(p, rng.normal(size=(k, 3)), 2, rng.normal(size=8))
+            out = denoise_graph(p, rng.normal(size=(k, 3)), 2, rng.normal(size=8))
             assert out.shape == (k, 3)
 
     def test_permutation_equivariance(self):
@@ -62,8 +62,8 @@ class TestForward:
         xt = rng.normal(size=(12, 3))
         z = rng.normal(size=8)
         perm = rng.permutation(12)
-        out = denoise(p, xt, 5, z)
-        out_perm = denoise(p, xt[perm], 5, z)
+        out = denoise_graph(p, xt, 5, z)
+        out_perm = denoise_graph(p, xt[perm], 5, z)
         assert np.abs(out[perm] - out_perm).max() < 1e-9
 
     def test_null_branch_differs_from_conditional(self):
@@ -71,16 +71,16 @@ class TestForward:
         rng = np.random.default_rng(4)
         xt = rng.normal(size=(6, 3))
         z = rng.normal(size=8)
-        cond = denoise(p, xt, 5, z)
-        uncond = denoise(p, xt, 5, None)
+        cond = denoise_graph(p, xt, 5, z)
+        uncond = denoise_graph(p, xt, 5, None)
         assert np.abs(cond - uncond).max() > 0.0
 
     def test_null_branch_matches_explicit_null_values(self):
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(5)
         xt = rng.normal(size=(6, 3))
-        uncond = denoise(p, xt, 5, None)
-        via_values = denoise(p, xt, 5, p["null_embed"].data.copy())
+        uncond = denoise_graph(p, xt, 5, None)
+        via_values = denoise_graph(p, xt, 5, p["null_embed"].copy())
         np.testing.assert_allclose(uncond, via_values, atol=1e-12)
 
     def test_time_step_changes_output(self):
@@ -88,26 +88,26 @@ class TestForward:
         rng = np.random.default_rng(6)
         xt = rng.normal(size=(6, 3))
         z = rng.normal(size=8)
-        assert np.abs(denoise(p, xt, 1, z) - denoise(p, xt, 50, z)).max() > 0.0
+        assert np.abs(denoise_graph(p, xt, 1, z) - denoise_graph(p, xt, 50, z)).max() > 0.0
 
     def test_wrong_condition_dim_rejected(self):
         p = small_params()
         with pytest.raises(ValueError):
-            denoise(p, np.zeros((4, 3)), 1, np.zeros(9))
+            denoise_graph(p, np.zeros((4, 3)), 1, np.zeros(9))
 
     def test_wrong_xt_shape_rejected(self):
         p = small_params()
         with pytest.raises(ValueError):
-            denoise(p, np.zeros((4, 2)), 1, None)
+            denoise_graph(p, np.zeros((4, 2)), 1, None)
 
     def test_denoise_records_nothing(self, recorded_ops):
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(8)
         xt = rng.normal(size=(9, 3))
         z = rng.normal(size=8)
-        denoise(p, xt, 3, z, guided=True)
-        denoise(p, xt, 3, z)
-        denoise(p, xt, 3, None)
+        denoise_graph(p, xt, 3, z, guided=True)
+        denoise_graph(p, xt, 3, z)
+        denoise_graph(p, xt, 3, None)
         assert recorded_ops() == 0
         with T.Tape():  # the counter does see a training forward
             denoise_graph(p, xt, 3, z, guided=True)
@@ -118,14 +118,32 @@ class TestForward:
         model = make_model(p)
         rng = np.random.default_rng(7)
         xt = rng.normal(size=(4, 3))
-        np.testing.assert_array_equal(model(xt, 3, None), denoise(p, xt, 3, None))
+        np.testing.assert_array_equal(model(xt, 3, None),
+                                      denoise_graph(p, xt, 3, None))
+
+    def test_make_model_looks_up_denoise_graph_per_call(self, monkeypatch):
+        """A wrapper patched into the module after make_model sees the
+        sampling calls, as the benchmark's tracer patches it."""
+        from buildiff import denoiser
+        model = make_model(randomize_output_layer(small_params()))
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("guided"))
+            return denoise_graph(*args, **kwargs)
+
+        monkeypatch.setattr(denoiser, "denoise_graph", spy)
+        xt = np.zeros((4, 3))
+        model(xt, 3, None)
+        model(xt, 3, np.zeros(8), guided=True)
+        assert seen == [False, True]
 
 
 def concat_forward(params, xt, t, z_I):
     """Reference forward: the row-constant features broadcast to (K, .),
     concatenated as [h | ctx | fused] and multiplied through all of dec.w1."""
     rows = np.zeros(xt.shape[0], dtype=np.int64)  # repeat a (1, .) row K times
-    h = T.leaky_relu(T.linear(T.leaf(xt), params["point.w1"], params["point.b1"]))
+    h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
     ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
     ctx = T.gather_rows(ctx, rows)
@@ -140,9 +158,9 @@ def reference_model(params):
     def model(xt, t, z_I, guided=False):
         with T.Tape():
             if guided:
-                return (concat_forward(params, xt, t, z_I).data,
-                        concat_forward(params, xt, t, None).data)
-            return concat_forward(params, xt, t, z_I).data
+                return (concat_forward(params, xt, t, z_I),
+                        concat_forward(params, xt, t, None))
+            return concat_forward(params, xt, t, z_I)
     return model
 
 
@@ -155,15 +173,15 @@ class TestFactoredForward:
         z = rng.normal(size=cfg.d)
         for cond in (z, None):
             with T.Tape():
-                want = concat_forward(p, xt, 17, cond).data
-            np.testing.assert_allclose(denoise(p, xt, 17, cond), want,
+                want = concat_forward(p, xt, 17, cond)
+            np.testing.assert_allclose(denoise_graph(p, xt, 17, cond), want,
                                        rtol=0, atol=1e-12)
 
     def test_gradients_match_concatenated_reference(self):
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(12)
         xt = rng.normal(size=(7, 3))
-        target = T.leaf(rng.normal(size=(7, 3)))
+        target = rng.normal(size=(7, 3))
         z = rng.normal(size=8)
         grads = []
         for forward in (concat_forward, denoise_graph):
@@ -249,11 +267,11 @@ class TestGradients:
             override = dict(zip(names, values))
             with T.Tape():
                 out = denoise_graph(override, xt, 3, z)
-                return T.mse(out, T.leaf(target)).item()
+                return T.mse(out, target).item()
 
         with T.Tape() as tape:
             out = denoise_graph(p, xt, 3, z)
-            ad = tape.backward(T.mse(out, T.leaf(target)), [p[n] for n in names])
+            ad = tape.backward(T.mse(out, target), [p[n] for n in names])
         fd = T.finite_diff_grad(loss_fn, [p[n] for n in names], 1e-6)
         # null_embed is unused when a condition is given: zeros on both sides
         for name, got, g in zip(names, ad, fd):
@@ -266,6 +284,6 @@ class TestGradients:
         xt = rng.normal(size=(5, 3))
         with T.Tape() as tape:
             out = denoise_graph(p, xt, 3, None)
-            (g_null,) = tape.backward(T.mse(out, T.leaf(rng.normal(size=(5, 3)))),
+            (g_null,) = tape.backward(T.mse(out, rng.normal(size=(5, 3))),
                                       [p["null_embed"]])
         assert np.abs(g_null).max() > 0.0

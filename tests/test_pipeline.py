@@ -8,9 +8,9 @@ from buildiff import tensor as T
 from buildiff.checkpoint import load_params
 from buildiff.conditioner import ConditionEmbedding, init_ae_params
 from buildiff.datagen import build_dataset
-from buildiff.denoiser import (DenoiserConfig, denoise, denoise_graph,
+from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                init_denoiser_params)
-from buildiff.diffusion import forward_noise, reconstruct_x0_diff
+from buildiff.diffusion import forward_noise, reconstruct_x0
 from buildiff.geometry import (PointCloud, farthest_point_sample,
                                nearest_indices)
 from buildiff.optim import AdamState
@@ -25,7 +25,7 @@ SCH = linear_beta_schedule(100)
 def tiny_params(seed=0):
     p = init_denoiser_params(DenoiserConfig(d=8, w1=6, w2=10, wd=12), seed=seed)
     rng = np.random.default_rng(seed + 100)
-    p["dec.out_w"].data = rng.normal(size=p["dec.out_w"].shape) * 0.05
+    p["dec.out_w"][...] = rng.normal(size=p["dec.out_w"].shape) * 0.05
     return p
 
 
@@ -115,7 +115,7 @@ class TestRegularizationLoss:
     def test_lambda_zero_skips_nn_and_returns_zero(self, nn_query_rows):
         x0 = np.random.default_rng(0).normal(size=(8, 3))
         with T.Tape():
-            hat = T.leaf(x0 + 1.0)
+            hat = x0 + 1.0
             # T=100: lambda is 0 for t > 75
             out = regularization_loss(x0, hat, 90, SCH)
         assert out.item() == 0.0
@@ -124,7 +124,7 @@ class TestRegularizationLoss:
     def test_lambda_positive_counts_queries(self, nn_query_rows):
         x0 = np.random.default_rng(1).normal(size=(8, 3))
         with T.Tape():
-            regularization_loss(x0, T.leaf(x0 + 0.1), 1, SCH)
+            regularization_loss(x0, x0 + 0.1, 1, SCH)
         assert nn_query_rows[0] == 16
 
     def test_hand_example_unit_offset(self):
@@ -133,7 +133,7 @@ class TestRegularizationLoss:
         # point so the nearest neighbour is unambiguous: CD = 1 + 1 = 2.
         x0 = np.array([[0.0, 0.0, 5.0]])  # z is projected away
         with T.Tape():
-            hat = T.leaf(np.array([[1.0, 0.0, -3.0]]))
+            hat = np.array([[1.0, 0.0, -3.0]])
             out = regularization_loss(x0, hat, 1, SCH)
         assert out.item() == pytest.approx(2.0 * lambda_weight(1, SCH.T))
 
@@ -143,13 +143,13 @@ class TestRegularizationLoss:
         jig = x0.copy()
         jig[:, 2] += rng.normal(size=6) * 10
         with T.Tape():
-            out = regularization_loss(x0, T.leaf(jig), 1, SCH)
+            out = regularization_loss(x0, jig, 1, SCH)
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             with T.Tape():
-                regularization_loss(np.zeros((4, 3)), T.leaf(np.zeros((5, 3))), 1, SCH)
+                regularization_loss(np.zeros((4, 3)), np.zeros((5, 3)), 1, SCH)
 
 
 class TestFullLossGradient:
@@ -170,15 +170,15 @@ class TestFullLossGradient:
             p = dict(zip(names, values))
             with T.Tape():
                 eps_hat = denoise_graph(p, xt, t, z)
-                L_eps = T.mse(T.leaf(eps), eps_hat)
-                x0_hat = reconstruct_x0_diff(xt, t, eps_hat, SCH)
+                L_eps = T.mse(eps, eps_hat)
+                x0_hat = reconstruct_x0(xt, t, eps_hat, SCH)
                 L_reg = regularization_loss(x0, x0_hat, t, SCH)
                 return T.add(L_eps, T.scale(L_reg, rho)).item()
 
         with T.Tape() as tape:
             eps_hat = denoise_graph(params, xt, t, z)
-            L_eps = T.mse(T.leaf(eps), eps_hat)
-            x0_hat = reconstruct_x0_diff(xt, t, eps_hat, SCH)
+            L_eps = T.mse(eps, eps_hat)
+            x0_hat = reconstruct_x0(xt, t, eps_hat, SCH)
             L_reg = regularization_loss(x0, x0_hat, t, SCH)
             ad = tape.backward(T.add(L_eps, T.scale(L_reg, rho)),
                                [params[n] for n in names])
@@ -206,13 +206,13 @@ class TestTrainSteps:
 
     def test_base_step_changes_params(self):
         params = tiny_params()
-        before = {k: v.data.copy() for k, v in params.items()}
+        before = {k: v.copy() for k, v in params.items()}
         state = AdamState(params, lr=1e-3)
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(12, 3))
         train_step(params, state, [(x0, x0[:0], embedding(0))],
                    TrainConfig(d=8), SCH, rng)
-        moved = sum(np.abs(params[k].data - before[k]).max() > 0 for k in params)
+        moved = sum(np.abs(params[k] - before[k]).max() > 0 for k in params)
         assert moved > len(params) // 2
 
     def test_empty_batch(self):
@@ -276,7 +276,7 @@ class TestTrainSteps:
             eps = replay.standard_normal(x0.shape)
             xt = forward_noise(x0, t, eps, SCH)
             xt[:K] = fixed
-            eps_hat = denoise(tiny_params(seed=1), xt, t, emb.values)
+            eps_hat = denoise_graph(tiny_params(seed=1), xt, t, emb.values)
             expected = np.mean((eps[K:] - eps_hat[K:]) ** 2)
             assert log.t_drawn == [t]
             assert log.L_eps == pytest.approx(expected, rel=1e-12, abs=0), K
@@ -343,7 +343,7 @@ class TestRunTraining:
         blob_b = load_params(b_dir / "base.bdif")
         assert sorted(blob_a) == sorted(blob_b)
         for k in blob_a:
-            np.testing.assert_array_equal(blob_a[k].data, blob_b[k].data)
+            np.testing.assert_array_equal(blob_a[k], blob_b[k])
 
     def test_resumed_log_continues_step_count(self, tiny_dataset, tmp_path):
         import json

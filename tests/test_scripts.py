@@ -40,3 +40,19 @@ def test_run_toy_pipeline_help():
     out = run_script("run_toy_pipeline.py", "--help")
     assert out.returncode == 0, out.stderr
     assert "usage" in out.stdout
+
+
+def test_tiny_cli_run_is_reproducible(tmp_path):
+    """Two runs write the same files, byte for byte, so the outputs of two
+    checkouts can be compared with diff -r."""
+    trees = []
+    for name in ("a", "b"):
+        out = run_script("tiny_cli_run.py", "--out", str(tmp_path / name))
+        assert out.returncode == 0, out.stderr
+        root = tmp_path / name
+        trees.append({str(p.relative_to(root)): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
+    for path in ("ckpt/autoencoder.bdif", "ckpt/base.bdif", "ckpt/upsampler.bdif",
+                 "sample.ply", "sample_high_res.ply", "trace/trace_00000.ply"):
+        assert path in trees[0], path
