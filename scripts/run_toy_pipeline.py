@@ -62,7 +62,7 @@ def main() -> int:
     for gamma in [float(g) for g in args.gammas.split(",")]:
         preds = []
         for i, entry in enumerate(tests):
-            z = encode(ae, load_pgm(root / "data" / entry["silhouette"])).values
+            z = encode(ae, load_pgm(root / "data" / entry["silhouette"]))
             cloud, _ = sample_base(model, z, cfg.K, gamma,
                                    seed=3000 + i, schedule=schedule)
             norm = normalize_unit_cube(cloud)

@@ -107,7 +107,7 @@ def _cmd_sample(args) -> int:
             return EXIT_MISMATCH
     ae_params = load_params(ckpt_dir / "autoencoder.bdif")
     base_params = model_params(load_params(ckpt_dir / "base.bdif"))
-    z_I = encode(ae_params, img).values
+    z_I = encode(ae_params, img)
 
     stride = args.trace_stride
     cloud, snapshots = sample_base(make_model(base_params), z_I, cfg.K,
@@ -135,12 +135,12 @@ def _cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     ref_dir = Path(args.ref)
 
-    def ids_of(d: Path) -> dict[str, Path]:
+    def clouds_in(d: Path) -> dict[str, Path]:
         return {p.stem: p for p in sorted(d.iterdir())
                 if p.suffix in CLOUD_LOADERS}
 
-    preds = ids_of(pred_dir)
-    refs = ids_of(ref_dir)
+    preds = clouds_in(pred_dir)
+    refs = clouds_in(ref_dir)
     missing = sorted(set(preds) ^ set(refs))
     if missing:
         print("error: unmatched ids: " + ", ".join(missing), file=sys.stderr)

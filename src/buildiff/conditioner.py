@@ -10,7 +10,7 @@ is used by the diffusion stages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -39,16 +39,6 @@ class SilhouetteImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-@dataclass
-class ConditionEmbedding:
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("embedding contains non-finite values")
 
 
 def save_pgm(path, img: SilhouetteImage) -> None:
@@ -208,25 +198,16 @@ def _decode_graph(params, z: np.ndarray, img_size: int) -> np.ndarray:
     return T.sigmoid(T.reshape(x, (h, w)))
 
 
-def encode(params: dict[str, np.ndarray], img: SilhouetteImage) -> ConditionEmbedding:
-    """Forward-only: buildiff calls it outside any Tape, so it keeps no graph."""
-    size = _expected_size(params)
+def encode(params: dict[str, np.ndarray], img: SilhouetteImage) -> np.ndarray:
+    """The (d,) embedding of img; a non-finite one raises ValueError.
+    Forward-only: buildiff calls it outside any Tape, so it keeps no graph."""
+    size = 8 * int(round(np.sqrt(params["enc.proj"].shape[0] // ENC_CHANNELS[2])))
     if img.height != size or img.width != size:
         raise ValueError(f"expected {size}x{size} image, got {img.height}x{img.width}")
-    z = _encode_graph(params, img.pixels)
-    return ConditionEmbedding(z.reshape(-1))
-
-
-def decode(params: dict[str, np.ndarray], z: ConditionEmbedding) -> SilhouetteImage:
-    """Forward-only, like encode."""
-    size = _expected_size(params)
-    return SilhouetteImage(_decode_graph(params, z.values.reshape(1, -1), size))
-
-
-def _expected_size(params) -> int:
-    flat = params["enc.proj"].shape[0]
-    base = int(round(np.sqrt(flat // ENC_CHANNELS[2])))
-    return base * 8
+    z = _encode_graph(params, img.pixels).reshape(-1)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("embedding contains non-finite values")
+    return z
 
 
 def ae_loss(I: np.ndarray, I_hat: np.ndarray, z_I: np.ndarray,

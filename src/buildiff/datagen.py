@@ -171,15 +171,6 @@ def generate_building(spec: BuildingSpec) -> Mesh:
     return _hip_mesh(spec)
 
 
-def is_watertight(mesh: Mesh) -> bool:
-    edges = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    return all(c == 2 for c in edges.values())
-
-
 def sample_surface(mesh: Mesh, n: int, seed: int,
                    normalize: bool = True) -> PointCloud:
     """Area-weighted uniform surface sampling; normalized to [-1,1]^3 unless
@@ -202,14 +193,17 @@ def sample_surface(mesh: Mesh, n: int, seed: int,
     b = mesh.vertices[t[:, 1]]
     c = mesh.vertices[t[:, 2]]
     pts = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    cloud = PointCloud(pts, meta={"sample_seed": seed})
+    cloud = PointCloud(pts)
     if normalize:
         cloud = normalize_unit_cube(cloud)
     return cloud
 
 
+SUPERSAMPLE = 4  # coverage samples per pixel along each axis
+
+
 def render_silhouette(mesh: Mesh, view: tuple[float, float],
-                      resolution: int = 32, supersample: int = 4) -> SilhouetteImage:
+                      resolution: int = 32) -> SilhouetteImage:
     """Orthographic soft-coverage silhouette along the view direction,
     centered and scaled to 90% of the frame."""
     if resolution < 8:
@@ -229,7 +223,7 @@ def render_silhouette(mesh: Mesh, view: tuple[float, float],
     # pixel coords: building centered in the frame, v axis pointing up
     uv = (uv - center) * scale + resolution / 2.0
 
-    ss = supersample
+    ss = SUPERSAMPLE
     grid = (np.arange(resolution * ss) + 0.5) / ss
     gx, gy = np.meshgrid(grid, grid)
     px = gx.reshape(-1)
@@ -247,12 +241,12 @@ def render_silhouette(mesh: Mesh, view: tuple[float, float],
     return SilhouetteImage(cov[::-1])  # image row 0 at the top
 
 
+MANIFEST_FIELDS = ("id", "split", "cloud", "silhouette")
+
+
 @dataclass
 class DatasetManifest:
     entries: list[dict] = field(default_factory=list)
-
-    def ids(self, split: str | None = None) -> list[str]:
-        return [e["id"] for e in self.entries if split is None or e["split"] == split]
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -260,8 +254,22 @@ class DatasetManifest:
 
     @staticmethod
     def load(path) -> "DatasetManifest":
+        """Read a manifest: an "entries" list of objects with string
+        MANIFEST_FIELDS. Invalid JSON or a missing or mistyped field raises
+        ValueError naming the path, and the entry index and field."""
         with open(path) as fh:
-            return DatasetManifest(json.load(fh)["entries"])
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        entries = doc.get("entries") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f'{path}: the manifest needs an "entries" list')
+        for i, e in enumerate(entries):
+            for key in MANIFEST_FIELDS:
+                if not isinstance(e, dict) or not isinstance(e.get(key), str):
+                    raise ValueError(f"{path}: entry {i} needs a string {key!r}")
+        return DatasetManifest(entries)
 
 
 def random_spec(rng: np.random.Generator, roof_type: str) -> BuildingSpec:

@@ -108,7 +108,7 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     ctx = T.reshape(T.reduce_max_over_points(h), (1, w2))
     ctx_bias = T.linear(ctx, w_ctx, params["dec.b1"])
 
-    def decode(cond):
+    def branch(cond):
         fused = fuse_conditions(params, cond, t)
         bias = T.linear(fused, w_f, ctx_bias)
         out = T.leaky_relu(T.linear(h, w_h, bias))
@@ -119,8 +119,8 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
         return out
 
     if guided:
-        return decode(z_I), decode(None)
-    return decode(z_I)
+        return branch(z_I), branch(None)
+    return branch(z_I)
 
 
 def make_model(params: dict[str, np.ndarray]):

@@ -5,7 +5,7 @@ first occurrence on duplicate rows) and PLY/XYZ/BPC I/O."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree
 @dataclass
 class PointCloud:
     points: np.ndarray  # (n, 3) float64
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -42,9 +41,7 @@ def normalize_unit_cube(cloud: PointCloud) -> PointCloud:
         raise ValueError("degenerate cloud: all points identical")
     center = (lo + hi) / 2.0
     scale = 2.0 / extent
-    meta = dict(cloud.meta)
-    meta["normalized"] = True
-    return PointCloud((cloud.points - center) * scale, meta=meta)
+    return PointCloud((cloud.points - center) * scale)
 
 
 def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
@@ -77,9 +74,7 @@ def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
         np.multiply(t, t, out=t)
         np.add(d, t, out=d)
         np.minimum(dist, d, out=dist)
-    meta = dict(cloud.meta)
-    meta["fps_seed"] = seed
-    return PointCloud(pts[chosen], meta=meta)
+    return PointCloud(pts[chosen])
 
 
 def nearest_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,7 +138,22 @@ def save_ply(path, cloud: PointCloud) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
+def _xyz_rows(path, source, max_rows=None) -> np.ndarray:
+    """Whitespace-separated x y z rows of source as an (n, 3) array. A
+    non-numeric value or a row of another width raises IOError naming
+    path."""
+    try:
+        pts = np.loadtxt(source, dtype=np.float64, max_rows=max_rows, ndmin=2)
+    except ValueError as exc:
+        raise IOError(f"{path}: {exc}") from None
+    if pts.size and pts.shape[1] != 3:
+        raise IOError(f"{path}: rows have {pts.shape[1]} values, need 3 (x y z)")
+    return pts.reshape(-1, 3)
+
+
 def load_ply(path) -> PointCloud:
+    """Read an ASCII PLY's vertex rows. A malformed header or row, or fewer
+    rows than the header promises, raises IOError naming the path."""
     with open(path) as fh:
         line = fh.readline().strip()
         if line != "ply":
@@ -155,13 +165,19 @@ def load_ply(path) -> PointCloud:
                 raise IOError(f"{path}: truncated PLY header")
             line = line.strip()
             if line.startswith("element vertex"):
-                n = int(line.split()[-1])
+                try:
+                    n = int(line.split()[-1])
+                except ValueError:
+                    raise IOError(f"{path}: bad vertex count in {line!r}") from None
             elif line == "end_header":
                 break
         if n is None:
             raise IOError(f"{path}: no vertex element")
-        pts = np.loadtxt(fh, dtype=np.float64, max_rows=n)
-        return PointCloud(pts.reshape(n, 3))
+        pts = _xyz_rows(path, fh, max_rows=n)
+    if len(pts) != n:
+        raise IOError(f"{path}: PLY header promises {n} vertex rows, "
+                      f"the file has {len(pts)}")
+    return PointCloud(pts)
 
 
 def save_xyz(path, cloud: PointCloud) -> None:
@@ -169,4 +185,4 @@ def save_xyz(path, cloud: PointCloud) -> None:
 
 
 def load_xyz(path) -> PointCloud:
-    return PointCloud(np.loadtxt(path, dtype=np.float64).reshape(-1, 3))
+    return PointCloud(_xyz_rows(path, path))

@@ -123,12 +123,10 @@ def fscore(pred: PointCloud, ref: PointCloud, tau: float = F1_TAU) -> float:
 
 def evaluate_pair(pred: PointCloud, ref: PointCloud, emd_mode: str | None = None,
                   seed: int = 0) -> PairReport:
-    """Full report: CD x100, EMD x100, F1(tau). Clouds not flagged as
-    normalized are normalized to [-1,1]^3 first."""
-    if not pred.meta.get("normalized"):
-        pred = normalize_unit_cube(pred)
-    if not ref.meta.get("normalized"):
-        ref = normalize_unit_cube(ref)
+    """Full report: CD x100, EMD x100, F1(tau), each taken after both clouds
+    are normalized to [-1,1]^3."""
+    pred = normalize_unit_cube(pred)
+    ref = normalize_unit_cube(ref)
     if emd_mode is None:
         emd_mode = "exact" if min(pred.count, ref.count) <= EXACT_EMD_LIMIT else "approx"
     emd_val, resampled = emd(pred, ref, mode=emd_mode, seed=seed)

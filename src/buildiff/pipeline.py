@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_params, save_params
-from .conditioner import (ConditionEmbedding, encode, load_pgm,
-                          train_autoencoder)
+from .conditioner import encode, load_pgm, train_autoencoder
 from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
 from .diffusion import forward_noise, reconstruct_x0
 from .datagen import DatasetManifest
@@ -148,7 +147,7 @@ def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
 
 
 def train_step(params, state: AdamState,
-               batch: list[tuple[np.ndarray, np.ndarray, ConditionEmbedding]],
+               batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                config: TrainConfig, schedule: NoiseSchedule,
                rng: np.random.Generator, epoch: int = 0,
                step: int = 0) -> StepLog:
@@ -169,7 +168,7 @@ def train_step(params, state: AdamState,
             t = int(rng.integers(1, schedule.T + 1))
             eps = rng.standard_normal(x0.shape)
             dropped = bool(rng.random() < config.drop_prob)
-            z_I = None if dropped else emb.values
+            z_I = None if dropped else emb
             xt = forward_noise(x0, t, eps, schedule)
             xt[:K] = fixed
             eps_hat = denoise_graph(params, xt, t, z_I)
@@ -221,7 +220,6 @@ def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
             continue
         rows.append({
             "id": e["id"],
-            "spec": e["spec"],
             "cloud_path": dataset_dir / e["cloud"],
             "silhouette_path": dataset_dir / e["silhouette"],
         })
@@ -283,7 +281,7 @@ def _load_training_state(path: Path, lr: float):
 
 
 def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
-                     n: int) -> list[tuple[np.ndarray, ConditionEmbedding]]:
+                     n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(n cloud rows, silhouette embedding) per training building; the rows
     are drawn without replacement, seeded by config.seed and the id."""
     data = []

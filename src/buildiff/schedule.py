@@ -36,9 +36,6 @@ class NoiseSchedule:
             raise ValueError(f"t={t} outside 1..{self.T}")
         return t - 1
 
-    def beta(self, t: int) -> float:
-        return float(self.betas[self._check_t(t)])
-
     def alpha(self, t: int) -> float:
         return float(self.alphas[self._check_t(t)])
 

@@ -150,7 +150,7 @@ def leaky_relu(a: np.ndarray, slope: float = 0.01) -> np.ndarray:
     # max(a, slope*a) equals a*coef, coef = 1 where a >= 0 else slope, bit
     # for bit; the backward builds coef with a cast rather than np.where,
     # which is several times slower
-    out = a * slope
+    out = np.asarray(a * slope)  # a * slope is a scalar when a is 0-d
     np.maximum(a, out, out=out)
 
     def bwd(g):

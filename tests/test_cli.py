@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from buildiff.checkpoint import load_params, save_params
 from buildiff.cli import _load_config, build_parser, main
 from buildiff.geometry import (BPC_MAGIC, PointCloud, load_bpc, load_ply,
                                save_bpc, save_ply)
@@ -16,6 +17,10 @@ from buildiff.pipeline import TrainConfig
 
 def run(argv):
     return main(argv)
+
+
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -95,6 +100,30 @@ class TestTrainOrdering:
         assert run(["train-ae", "--dataset", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "ck")] + TINY_TRAIN) == 3
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda m: m["entries"][1].pop("split"), "entry 1 needs a string 'split'"),
+        (lambda m: m["entries"][2].update(cloud=7), "entry 2 needs a string 'cloud'"),
+        (lambda m: m["entries"].__setitem__(0, "b00000"), "entry 0 needs a string 'id'"),
+        (lambda m: m.pop("entries"), 'needs an "entries" list'),
+        (None, "not valid JSON"),
+    ], ids=["no-split", "cloud-not-string", "entry-not-object", "no-entries",
+            "invalid-json"])
+    def test_bad_manifest_exits_3_naming_it(self, dataset, tmp_path, capsys,
+                                            edit, want):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "manifest.json"
+        if edit is None:
+            path.write_text(path.read_text()[:-2])
+        else:
+            manifest = json.loads(path.read_text())
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+        assert run(["train-ae", "--dataset", str(data),
+                    "--out", str(tmp_path / "ck")] + TINY_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and want in err and "Traceback" not in err
+
 
 class TestConfig:
     @pytest.mark.parametrize("via", ["--set", "--config"])
@@ -173,6 +202,19 @@ class TestSample:
                         "--out", str(tmp_path / "o.ply")]) == 3
             err = capsys.readouterr().err
             assert str(ck / "base.bdif") in err and f"byte offset {cut}" in err
+
+    def test_nan_autoencoder_exits_3(self, dataset, checkpoints, tmp_path,
+                                     capsys):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        ae = load_params(ck / "autoencoder.bdif")
+        ae["enc.projb"][0] = np.nan
+        save_params(ck / "autoencoder.bdif", ae)
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(tmp_path / "o.ply")]) == 3
+        assert "embedding contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "o.ply").exists()
 
     def test_config_with_retired_keys_samples(self, dataset, checkpoints,
                                               tmp_path):
@@ -355,6 +397,23 @@ class TestExport:
         err = capsys.readouterr().err
         assert str(src) in err and want in err
         assert not (tmp_path / "o.ply").exists()
+
+    @pytest.mark.parametrize("name,text,want", [
+        ("short.ply", PLY_HEADER.format(n=5) + "1 2 3\n",
+         "PLY header promises 5 vertex rows, the file has 1"),
+        ("word.ply", PLY_HEADER.format(n=1) + "1 two 3\n", "could not convert"),
+        ("count.ply", PLY_HEADER.format(n="x") + "1 2 3\n", "bad vertex count"),
+        ("two-columns.xyz", "1 2\n3 4\n5 6\n", "rows have 2 values, need 3"),
+    ], ids=["ply-short", "ply-non-numeric", "ply-bad-count", "xyz-two-columns"])
+    def test_malformed_text_cloud_exits_3(self, tmp_path, capsys, name, text,
+                                          want):
+        src = tmp_path / name
+        src.write_text(text)
+        assert run(["export", "--input", str(src),
+                    "--out", str(tmp_path / "o.bpc")]) == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and want in err
+        assert not (tmp_path / "o.bpc").exists()
 
     def test_unsupported_format_exits_3(self, tmp_path):
         src = tmp_path / "c.ply"

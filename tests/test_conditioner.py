@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
-from buildiff.conditioner import (ConditionEmbedding, SilhouetteImage, ae_loss,
-                                  augment, decode, encode, init_ae_params,
-                                  load_pgm, save_pgm, train_autoencoder)
+from buildiff.conditioner import (SilhouetteImage, _decode_graph, ae_loss,
+                                  augment, encode, init_ae_params, load_pgm,
+                                  save_pgm, train_autoencoder)
 
 
 # malformed binary PGMs, each with a pattern of its IOError message
@@ -105,36 +105,38 @@ class TestAugment:
                 augment(img, seed)
 
 
+def reconstruct(params, img):
+    """The auto-encoder's (H, W) reconstruction of img."""
+    return _decode_graph(params, encode(params, img).reshape(1, -1), img.height)
+
+
 class TestEmbedding:
     def test_flattens(self):
-        emb = ConditionEmbedding(np.zeros((2, 3)))
-        assert emb.values.shape == (6,)
+        z = encode(init_ae_params(d=16, img_size=16, seed=0), checker(16))
+        assert z.shape == (16,) and z.dtype == np.float64
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            ConditionEmbedding(np.array([1.0, np.nan]))
+        params = init_ae_params(d=16, img_size=16, seed=0)
+        params["enc.projb"][3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(params, checker(16))
 
 
 class TestEncodeDecode:
     def test_shapes(self):
         params = init_ae_params(d=16, img_size=16, seed=0)
-        img = checker(16)
-        z = encode(params, img)
-        assert z.values.shape == (16,)
-        recon = decode(params, z)
-        assert recon.pixels.shape == (16, 16)
-        assert recon.pixels.min() >= 0.0 and recon.pixels.max() <= 1.0
+        recon = reconstruct(params, checker(16))
+        assert recon.shape == (16, 16)
+        assert recon.min() >= 0.0 and recon.max() <= 1.0
 
     def test_encode_decode_record_nothing(self, recorded_ops):
-        params = init_ae_params(d=16, img_size=16, seed=0)
-        decode(params, encode(params, checker(16)))
+        reconstruct(init_ae_params(d=16, img_size=16, seed=0), checker(16))
         assert recorded_ops() == 0
 
     def test_encode_deterministic(self):
         params = init_ae_params(d=16, img_size=16, seed=0)
         img = checker(16)
-        np.testing.assert_array_equal(encode(params, img).values,
-                                      encode(params, img).values)
+        np.testing.assert_array_equal(encode(params, img), encode(params, img))
 
     def test_wrong_size_rejected(self):
         params = init_ae_params(d=16, img_size=16, seed=0)
@@ -179,8 +181,7 @@ class TestTraining:
     def loss_of(self, params, images):
         total = 0.0
         for img in images:
-            recon = decode(params, encode(params, img))
-            total += np.mean((recon.pixels - img.pixels) ** 2)
+            total += np.mean((reconstruct(params, img) - img.pixels) ** 2)
         return total / len(images)
 
     def test_loss_decreases(self):

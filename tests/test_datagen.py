@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from buildiff.datagen import (BuildingSpec, DatasetManifest, build_dataset,
-                              generate_building, is_watertight, random_spec,
+                              generate_building, random_spec,
                               render_silhouette, roof_oracle, sample_surface)
 from buildiff.geometry import PointCloud, load_bpc
 
 
 def box_spec(**kw):
     return BuildingSpec(width=2.0, depth=1.0, wall_height=1.0, **kw)
+
+
+def is_watertight(mesh) -> bool:
+    """Every undirected edge is shared by exactly two triangles."""
+    edges = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    return all(c == 2 for c in edges.values())
 
 
 class TestSpecValidation:
@@ -107,7 +117,7 @@ class TestSampling:
     def test_normalized_by_default(self):
         mesh = generate_building(box_spec())
         cloud = sample_surface(mesh, 100, seed=2)
-        assert cloud.meta.get("normalized") is True
+        assert np.ptp(cloud.points, axis=0).max() == pytest.approx(2.0)
         assert cloud.points.min() >= -1.0 - 1e-12
         assert cloud.points.max() <= 1.0 + 1e-12
 
@@ -176,8 +186,8 @@ class TestDataset:
     def test_split_sizes_and_disjoint(self, tmp_path):
         m = build_dataset(tmp_path, n_train=6, n_test=3, n_points=64,
                           resolution=16, seed=0)
-        train = set(m.ids("train"))
-        test = set(m.ids("test"))
+        train = {e["id"] for e in m.entries if e["split"] == "train"}
+        test = {e["id"] for e in m.entries if e["split"] == "test"}
         assert len(train) == 6 and len(test) == 3
         assert not train & test
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildiff.geometry import PointCloud
+from buildiff.geometry import PointCloud, normalize_unit_cube
 from buildiff.metrics import (EXACT_EMD_LIMIT, PairReport, chamfer, emd,
                               evaluate_pair, fscore, write_report_jsonl)
 
@@ -141,32 +141,30 @@ class TestEvaluatePair:
     def test_identical_report(self):
         rng = np.random.default_rng(9)
         c = cloud(rng.uniform(-1, 1, size=(12, 3)))
-        c.meta["normalized"] = True
         rep = evaluate_pair(c, c)
         assert (rep.cd_scaled, rep.emd_scaled, rep.f1) == (0.0, 0.0, 100.0)
 
     def test_two_point_scaling(self):
         a = cloud([[0, 0, 0], [1, 0, 0]])
         b = cloud([[0.5, 0, 0], [1.5, 0, 0]])
-        a.meta["normalized"] = True
-        b.meta["normalized"] = True
-        rep = evaluate_pair(a, b)
-        assert rep.emd_scaled == pytest.approx(50.0)
+        assert emd(a, b)[0] * 100.0 == pytest.approx(50.0)
 
     def test_regression_fixture_stable(self):
         rng = np.random.default_rng(123)
         a = cloud(rng.uniform(-1, 1, size=(20, 3)))
         b = cloud(rng.uniform(-1, 1, size=(20, 3)))
-        a.meta["normalized"] = True
-        b.meta["normalized"] = True
+        # frozen on first run; guards against accidental metric drift
+        assert chamfer(a, b) * 100.0 == pytest.approx(44.2849031769423, rel=1e-9)
+        assert emd(a, b)[0] * 100.0 == pytest.approx(61.18951296895562, rel=1e-9)
+        assert fscore(a, b) == 0.0
+        # the report is the same three metrics after unit-cube normalization
         r1 = evaluate_pair(a, b)
         r2 = evaluate_pair(a, b)
         assert (r1.cd_scaled, r1.emd_scaled, r1.f1) == \
             (r2.cd_scaled, r2.emd_scaled, r2.f1)
-        # frozen on first run; guards against accidental metric drift
-        assert r1.cd_scaled == pytest.approx(44.2849031769423, rel=1e-9)
-        assert r1.emd_scaled == pytest.approx(61.18951296895562, rel=1e-9)
-        assert r1.f1 == 0.0
+        na, nb = normalize_unit_cube(a), normalize_unit_cube(b)
+        assert (r1.cd_scaled, r1.emd_scaled, r1.f1) == \
+            (chamfer(na, nb) * 100.0, emd(na, nb)[0] * 100.0, fscore(na, nb))
 
     def test_normalizes_unnormalized_inputs(self):
         rng = np.random.default_rng(10)

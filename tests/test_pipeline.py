@@ -6,7 +6,7 @@ import pytest
 import buildiff.pipeline as P
 from buildiff import tensor as T
 from buildiff.checkpoint import load_params
-from buildiff.conditioner import ConditionEmbedding, init_ae_params
+from buildiff.conditioner import init_ae_params
 from buildiff.datagen import build_dataset
 from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                init_denoiser_params)
@@ -30,8 +30,7 @@ def tiny_params(seed=0):
 
 
 def embedding(seed=0, d=8):
-    rng = np.random.default_rng(seed)
-    return ConditionEmbedding(rng.normal(size=d))
+    return np.random.default_rng(seed).normal(size=d)
 
 
 class TestConfig:
@@ -276,7 +275,7 @@ class TestTrainSteps:
             eps = replay.standard_normal(x0.shape)
             xt = forward_noise(x0, t, eps, SCH)
             xt[:K] = fixed
-            eps_hat = denoise_graph(tiny_params(seed=1), xt, t, emb.values)
+            eps_hat = denoise_graph(tiny_params(seed=1), xt, t, emb)
             expected = np.mean((eps[K:] - eps_hat[K:]) ** 2)
             assert log.t_drawn == [t]
             assert log.L_eps == pytest.approx(expected, rel=1e-12, abs=0), K
@@ -376,7 +375,7 @@ class TestRunTraining:
             assert xu.shape == (cfg.N, 3)
             fps = farthest_point_sample(PointCloud(xu), cfg.K, seed=cfg.seed + 1)
             np.testing.assert_array_equal(fu, fps.points)
-            np.testing.assert_array_equal(eb.values, eu.values)
+            np.testing.assert_array_equal(eb, eu)
 
     def test_cloud_smaller_than_stage_draw(self, tiny_dataset):
         """A stage that draws more rows than a cloud has names the cloud

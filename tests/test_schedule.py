@@ -8,8 +8,8 @@ from buildiff.schedule import (NoiseSchedule, lambda_weight,
 class TestLinearBetaSchedule:
     def test_endpoints(self):
         sch = linear_beta_schedule(1000, 0.0001, 0.02)
-        assert sch.beta(1) == pytest.approx(0.0001)
-        assert sch.beta(1000) == pytest.approx(0.02)
+        assert sch.betas[0] == pytest.approx(0.0001)
+        assert sch.betas[999] == pytest.approx(0.02)
 
     def test_alpha_bar_first(self):
         sch = linear_beta_schedule(1000)
@@ -19,7 +19,7 @@ class TestLinearBetaSchedule:
         sch = linear_beta_schedule(1000)
         v = 0.0
         for t in range(1, 1001):
-            v = sch.alpha(t) * v + sch.beta(t)
+            v = sch.alpha(t) * v + sch.betas[t - 1]
             assert abs(v - (1.0 - sch.alpha_bar(t))) < 1e-12
 
     def test_alpha_bar_strictly_decreasing(self):
@@ -39,9 +39,9 @@ class TestLinearBetaSchedule:
     def test_t_out_of_range(self):
         sch = linear_beta_schedule(10)
         with pytest.raises(ValueError):
-            sch.beta(0)
+            sch.alpha(0)
         with pytest.raises(ValueError):
-            sch.beta(11)
+            sch.alpha(11)
 
     def test_sigma_first_step_zero(self):
         for mode in ("large", "posterior"):

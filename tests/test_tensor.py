@@ -40,6 +40,13 @@ def test_leaky_relu_bitwise_equal_to_coefficient_formula():
         assert np.array_equal(np.signbit(out), np.signbit(want_out))
         assert np.array_equal(gin, want_g)
         assert np.array_equal(np.signbit(gin), np.signbit(want_g))
+        for i in range(8):  # 0-d inputs, signed zeros and subnormals included
+            with T.Tape() as tape:
+                out = T.leaky_relu(a[i].reshape(()), slope=slope)
+                (gin,) = tape.entries[-1].backward_fn(g[i].reshape(()))
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            assert out.tobytes() == want_out[i].tobytes()
+            assert np.float64(gin).tobytes() == want_g[i].tobytes()
 
 
 def test_leaky_relu_bad_slope():
