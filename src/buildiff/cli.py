@@ -19,8 +19,8 @@ from .conditioner import encode, load_pgm
 from .datagen import build_dataset
 from .diffusion import sample_base, sample_upsampled
 from .denoiser import make_model
-from .geometry import (PointCloud, load_bpc, load_ply, load_xyz, save_bpc,
-                       save_ply, save_xyz)
+from .geometry import (PointCloud, load_bpc, load_ply, load_xyz,
+                       normalize_unit_cube, save_bpc, save_ply, save_xyz)
 from .metrics import evaluate_pair, write_report_jsonl
 from .pipeline import (STAGES, StageDependencyError, TrainConfig, model_params,
                        run_training, toy_config)
@@ -139,14 +139,24 @@ def _cmd_eval(args) -> int:
         return {p.stem: p for p in sorted(d.iterdir())
                 if p.suffix in CLOUD_LOADERS}
 
+    def scorable_cloud(path: Path) -> PointCloud:
+        """The cloud at path; one that cannot be normalised (empty, or all
+        points identical) raises IOError naming path."""
+        cloud = _load_cloud(path)
+        try:
+            normalize_unit_cube(cloud)
+        except ValueError as exc:
+            raise IOError(f"{path}: {exc}") from None
+        return cloud
+
     preds = clouds_in(pred_dir)
     refs = clouds_in(ref_dir)
     missing = sorted(set(preds) ^ set(refs))
     if missing:
         print("error: unmatched ids: " + ", ".join(missing), file=sys.stderr)
         return EXIT_MISMATCH
-    rows = [(pair_id, evaluate_pair(_load_cloud(preds[pair_id]),
-                                    _load_cloud(refs[pair_id]),
+    rows = [(pair_id, evaluate_pair(scorable_cloud(preds[pair_id]),
+                                    scorable_cloud(refs[pair_id]),
                                     emd_mode=args.emd_mode, seed=args.seed))
             for pair_id in sorted(preds)]
     summary = write_report_jsonl(args.out, rows)

@@ -5,6 +5,7 @@ first occurrence on duplicate rows) and PLY/XYZ/BPC I/O."""
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,8 +114,9 @@ def save_bpc(path, cloud: PointCloud) -> None:
 
 
 def load_bpc(path) -> PointCloud:
-    """Read a BPC1 file. A header shorter than 8 bytes or a payload shorter
-    than its point count needs raises IOError naming the path."""
+    """Read a BPC1 file. A header shorter than 8 bytes, a payload shorter
+    than its point count needs or a nan or inf coordinate raises IOError
+    naming the path."""
     raw = Path(path).read_bytes()
     if raw[:4] != BPC_MAGIC:
         raise IOError(f"{path}: not a BPC1 file")
@@ -125,7 +127,7 @@ def load_bpc(path) -> PointCloud:
         raise IOError(f"{path}: BPC count {n} needs {12 * n} payload bytes, "
                       f"the file has {len(raw) - 8}")
     pts = np.frombuffer(raw, dtype="<f4", count=3 * n, offset=8).reshape(n, 3)
-    return PointCloud(pts.astype(np.float64))
+    return _cloud_of(path, pts.astype(np.float64))
 
 
 def save_ply(path, cloud: PointCloud) -> None:
@@ -138,12 +140,24 @@ def save_ply(path, cloud: PointCloud) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
-def _xyz_rows(path, source, max_rows=None) -> np.ndarray:
-    """Whitespace-separated x y z rows of source as an (n, 3) array. A
-    non-numeric value or a row of another width raises IOError naming
-    path."""
+def _cloud_of(path, pts: np.ndarray) -> PointCloud:
+    """The cloud of a loaded (n, 3) array; a nan or inf coordinate raises
+    IOError naming path."""
     try:
-        pts = np.loadtxt(source, dtype=np.float64, max_rows=max_rows, ndmin=2)
+        return PointCloud(pts)
+    except ValueError as exc:
+        raise IOError(f"{path}: {exc}") from None
+
+
+def _xyz_rows(path, source, max_rows=None) -> np.ndarray:
+    """Whitespace-separated x y z rows of source as an (n, 3) array; no rows
+    give a (0, 3) array, without numpy's warning. A non-numeric value or a
+    row of another width raises IOError naming path."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(source, dtype=np.float64, max_rows=max_rows,
+                             ndmin=2)
     except ValueError as exc:
         raise IOError(f"{path}: {exc}") from None
     if pts.size and pts.shape[1] != 3:
@@ -152,8 +166,9 @@ def _xyz_rows(path, source, max_rows=None) -> np.ndarray:
 
 
 def load_ply(path) -> PointCloud:
-    """Read an ASCII PLY's vertex rows. A malformed header or row, or fewer
-    rows than the header promises, raises IOError naming the path."""
+    """Read an ASCII PLY's vertex rows. A malformed header or row, fewer
+    rows than the header promises or a nan or inf coordinate raises IOError
+    naming the path."""
     with open(path) as fh:
         line = fh.readline().strip()
         if line != "ply":
@@ -177,7 +192,7 @@ def load_ply(path) -> PointCloud:
     if len(pts) != n:
         raise IOError(f"{path}: PLY header promises {n} vertex rows, "
                       f"the file has {len(pts)}")
-    return PointCloud(pts)
+    return _cloud_of(path, pts)
 
 
 def save_xyz(path, cloud: PointCloud) -> None:
@@ -185,4 +200,4 @@ def save_xyz(path, cloud: PointCloud) -> None:
 
 
 def load_xyz(path) -> PointCloud:
-    return PointCloud(_xyz_rows(path, path))
+    return _cloud_of(path, _xyz_rows(path, path))

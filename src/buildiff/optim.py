@@ -23,7 +23,14 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: list[np.ndarray]) -> None:
     """One step on every parameter; a gradient list of the wrong length
-    raises ValueError before anything moves."""
+    raises ValueError before anything moves.
+
+    Each parameter's update is
+        m = BETA1 m + (1 - BETA1) g,  v = BETA2 v + (1 - BETA2) g g,
+        p -= lr (m / bc1) / (sqrt(v / bc2) + EPS),
+    computed in that order in two scratch arrays, never in g: two
+    parameters may share one gradient array (add's backward hands g to
+    both inputs)."""
     if len(grads) != len(params):
         raise ValueError(f"adam_step: {len(grads)} gradients for "
                          f"{len(params)} parameters")
@@ -34,11 +41,20 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     for (name, p), g in zip(params.items(), grads):
         m = state.m[name]
         v = state.v[name]
+        s = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= state.lr
+        r = np.divide(v, bc2)
+        np.sqrt(r, out=r)
+        r += EPS
+        s /= r
+        p -= s
 
 
 def backward_and_step(state: AdamState, params: dict[str, np.ndarray],

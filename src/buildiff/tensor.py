@@ -200,7 +200,13 @@ def mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gather_rows(a: np.ndarray, indices) -> np.ndarray:
     """Select rows of a 2D array. A negative index yields a zero row
-    (used for implicit zero padding); gradient scatters to valid rows only."""
+    (used for implicit zero padding); gradient scatters to valid rows only.
+
+    The scatter is one np.bincount with a bin per (row, channel). It sums
+    each bin's terms in input order, starting from +0.0, so the gradient
+    is bit for bit that of accumulating g's rows one by one into zeros,
+    signs of zero included. A padding index goes to the extra row n,
+    which is sliced off."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows expects 2D, got {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
@@ -210,9 +216,11 @@ def gather_rows(a: np.ndarray, indices) -> np.ndarray:
     out[~valid] = 0.0
 
     def bwd(g):
-        ga = np.zeros_like(a)
-        np.add.at(ga, safe[valid], g[valid])
-        return (ga,)
+        n, c = a.shape
+        tgt = np.where(valid, idx, n).reshape(-1, 1)
+        bins = (tgt * c + np.arange(c)).ravel()
+        ga = np.bincount(bins, weights=g.ravel(), minlength=(n + 1) * c)
+        return (ga[:n * c].reshape(n, c),)
 
     return _make([a], out, bwd)
 

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,26 @@ class TestEval:
         rows = [json.loads(l) for l in outs[0].decode().splitlines()]
         assert [r["id"] for r in rows] == sorted(ids) + ["__summary__"]
 
+    @pytest.mark.parametrize("side", ["pred", "ref"])
+    @pytest.mark.parametrize("text,want", [
+        ("", "empty cloud"),
+        ("1 2 3\n1 2 3\n", "degenerate cloud: all points identical"),
+    ], ids=["empty", "one-point"])
+    def test_unscorable_cloud_exits_3_naming_it(self, tmp_path, capsys, side,
+                                                text, want):
+        """An empty .xyz loads without numpy's no-data warning; eval names
+        the file of a cloud it cannot normalise."""
+        pred, ref = self.make_dirs(tmp_path, ["a"], ["a"])
+        bad = {"pred": pred, "ref": ref}[side] / "a.xyz"
+        (bad.parent / "a.bpc").unlink()
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["eval", "--pred", str(pred), "--ref", str(ref),
+                        "--out", str(tmp_path / "r.jsonl")]) == 3
+        assert f"{bad}: {want}" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_exact_vs_approx_close(self, tmp_path):
         pred, ref = self.make_dirs(tmp_path, ["a"], ["a"])
         vals = {}
@@ -414,6 +435,22 @@ class TestExport:
         err = capsys.readouterr().err
         assert str(src) in err and want in err
         assert not (tmp_path / "o.bpc").exists()
+
+    @pytest.mark.parametrize("name,raw", [
+        ("nan.ply", (PLY_HEADER.format(n=2) + "1 2 3\nnan 0 1\n").encode()),
+        ("inf.xyz", b"1 2 3\n4 -inf 6\n"),
+        ("inf.bpc", BPC_MAGIC + struct.pack("<I", 2)
+         + np.array([1, 2, 3, 4, np.inf, 6], dtype="<f4").tobytes()),
+    ], ids=["ply-nan", "xyz-inf", "bpc-inf"])
+    def test_non_finite_cloud_exits_3_naming_it(self, tmp_path, capsys, name,
+                                                raw):
+        src = tmp_path / name
+        src.write_bytes(raw)
+        assert run(["export", "--input", str(src),
+                    "--out", str(tmp_path / "o.ply")]) == 3
+        err = capsys.readouterr().err
+        assert f"{src}: points contain non-finite coordinates" in err
+        assert not (tmp_path / "o.ply").exists()
 
     def test_unsupported_format_exits_3(self, tmp_path):
         src = tmp_path / "c.ply"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildiff import tensor as T
+from buildiff import conditioner as C, tensor as T
 from buildiff.optim import (BETA1, BETA2, EPS, AdamState, adam_step,
                             backward_and_step)
 
@@ -257,6 +257,89 @@ def test_gather_rows_negative_index_is_zero_row():
     np.testing.assert_allclose(ga, [[1, 1], [0, 0], [1, 1]])
 
 
+def _add_at_scatter(a, idx, g):
+    """The reference gather_rows gradient: np.add.at into zeros, skipping
+    padding (-1) rows."""
+    idx = np.asarray(idx, dtype=np.int64)
+    ga = np.zeros_like(a)
+    np.add.at(ga, idx[idx >= 0], g[idx >= 0])
+    return ga
+
+
+def _assert_scatter_bitwise(a, idx, g):
+    with T.Tape() as tape:
+        T.gather_rows(a, idx)
+        (ga,) = tape.entries[-1].backward_fn(g)
+    want = _add_at_scatter(a, idx, g)
+    assert ga.shape == want.shape
+    assert np.array_equal(ga.view(np.int64), want.view(np.int64))
+
+
+def _with_negative_zeros(rng, g):
+    g = g.copy()
+    g[rng.random(g.shape) < 0.25] = -0.0
+    return g
+
+
+def test_gather_rows_scatter_bitwise_on_ae_indices(monkeypatch):
+    """On every index array of the 32 px auto-encoder (7 convolutions, 3
+    upsamplings) the gradient is np.add.at's bit for bit, -0.0 included."""
+    calls = []
+    gather = T.gather_rows
+
+    def recording(a, indices):
+        calls.append((a, indices))
+        return gather(a, indices)
+
+    monkeypatch.setattr(T, "gather_rows", recording)
+    params = C.init_ae_params(8, 32, seed=0)
+    pixels = np.random.default_rng(0).random((32, 32))
+    C._decode_graph(params, C._encode_graph(params, pixels), 32)
+    monkeypatch.undo()
+    assert len(calls) == 10
+    rng = np.random.default_rng(0)
+    for a, idx in calls:
+        g = rng.normal(size=(len(idx), a.shape[1]))
+        _assert_scatter_bitwise(a, idx, _with_negative_zeros(rng, g))
+
+
+@pytest.mark.parametrize("n,m,c", [(1024, 1024, 3), (256, 256, 32),
+                                   (5, 40, 4), (1, 7, 2)])
+def test_gather_rows_scatter_bitwise_on_random_indices(n, m, c):
+    """Repeated random indices, with and without -1 padding, and a gradient
+    whose terms for some rows are all -0.0."""
+    rng = np.random.default_rng(n + m + c)
+    a = rng.normal(size=(n, c))
+    g = _with_negative_zeros(rng, rng.normal(size=(m, c)))
+    for low in (0, -1):
+        idx = rng.integers(low, n, size=m)
+        _assert_scatter_bitwise(a, idx, g)
+        _assert_scatter_bitwise(a, idx, np.full((m, c), -0.0))
+
+
+def test_gather_rows_scatter_empty_indices():
+    a = np.ones((4, 3))
+    _assert_scatter_bitwise(a, np.array([], dtype=np.int64), np.zeros((0, 3)))
+    _assert_scatter_bitwise(a, [-1, -1], np.ones((2, 3)))
+
+
+def test_gather_rows_scatter_non_contiguous_gradient():
+    """The gradient a concat_last_axis split hands back is a strided view;
+    the scatter reads it in row order all the same."""
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(6, 3))
+    idx = np.array([5, -1, 0, 5, 2, 5, -1, 0])
+    g = _with_negative_zeros(rng, rng.normal(size=(8, 5)))
+    with T.Tape() as tape:
+        out = T.gather_rows(a, idx)
+        T.concat_last_axis([out, rng.normal(size=(8, 2))])
+        g_out, _ = tape.entries[-1].backward_fn(g)
+        (ga,) = tape.entries[-2].backward_fn(g_out)
+    assert not g_out.flags.c_contiguous
+    want = _add_at_scatter(a, idx, g[:, :3])
+    assert np.array_equal(ga.view(np.int64), want.view(np.int64))
+
+
 def test_no_silent_broadcast():
     with T.Tape():
         with pytest.raises(T.ShapeError):
@@ -428,6 +511,30 @@ class TestAdam:
         step = 0.1 * (m2 / (1 - BETA1 ** 2)) / (np.sqrt(v2 / (1 - BETA2 ** 2)) + EPS)
         assert np.array_equal(unreached, data1 - step)
         assert state.step_count == 2
+
+    def test_shared_gradient_array_is_read_only(self):
+        """add's backward hands one gradient array to both inputs, so two
+        parameters can share it: adam_step leaves it as it was, and each
+        parameter moves by the closed-form update of that gradient."""
+        g = np.array([0.37, -1.5, -0.0, 2e-3, 1e-12])
+        g_bytes = g.tobytes()
+        a = np.array([1.0, -2.0, 0.5, 3.0, -4.0])
+        b = np.array([-1.0, 0.25, 4.0, 0.0, 7.0])
+        want = {"a": a.copy(), "b": b.copy()}
+        params = {"a": a, "b": b}
+        state = AdamState(params, lr=0.1)
+        m = v = np.zeros_like(g)
+        for t in (1, 2, 3):
+            adam_step(state, params, [g, g])
+            assert g.tobytes() == g_bytes
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * (g * g)
+            step = 0.1 * (m / (1 - BETA1 ** t)) / (np.sqrt(v / (1 - BETA2 ** t)) + EPS)
+            for k in params:
+                want[k] = want[k] - step
+                assert np.array_equal(params[k], want[k]), (k, t)
+                assert np.array_equal(state.m[k], m)
+                assert np.array_equal(state.v[k], v)
 
     def test_converges_on_quadratic(self):
         w = np.array([3.0])
