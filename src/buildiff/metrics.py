@@ -13,7 +13,9 @@ from scipy.spatial.distance import cdist
 from .geometry import PointCloud, nearest_squared_distances, normalize_unit_cube
 
 F1_TAU = 0.001  # threshold on squared distance (see README on the convention)
-EXACT_EMD_LIMIT = 2048  # Hungarian beats the auction up to n=2048
+# Up to here eval takes the Hungarian EMD: on building pairs it is about 2x
+# faster than the auction at n=1024 and level with it at n=2048 (README).
+EXACT_EMD_LIMIT = 2048
 
 
 @dataclass
@@ -40,11 +42,18 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
 
 def _auction_assignment(cost: np.ndarray) -> np.ndarray:
     """Forward auction with epsilon scaling; returns a feasible assignment
-    (column for each row) whose cost is within n*eps_final of optimal."""
+    (column for each row) whose cost is within n*eps_final of optimal.
+
+    Row i bids on the column j minimising s = cost[i] + prices and raises
+    its price by (second-best s - best s) + eps: the Gauss-Seidel auction
+    of Bertsekas (1988) on benefit -cost, written on costs so that no
+    negated n x n copy is made."""
     n = cost.shape[0]
-    benefit = -cost
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
     span = float(cost.max() - cost.min()) or 1.0
     prices = np.zeros(n)
+    s = np.empty(n)
     eps = span / 2.0
     eps_final = span * 1e-4 / n  # keeps the mean-cost gap ~1e-4 * span
     assign = np.full(n, -1, dtype=np.int64)
@@ -54,12 +63,11 @@ def _auction_assignment(cost: np.ndarray) -> np.ndarray:
         unassigned = list(range(n))
         while unassigned:
             i = unassigned.pop()
-            values = benefit[i] - prices
-            j = int(np.argmax(values))
-            v1 = values[j]
-            values[j] = -np.inf
-            v2 = values.max()
-            prices[j] += (v1 - v2) + eps
+            np.add(cost[i], prices, out=s)
+            j = int(s.argmin())
+            s1 = s[j]
+            s[j] = np.inf
+            prices[j] += (s[s.argmin()] - s1) + eps
             prev = owner[j]
             owner[j] = i
             assign[i] = j
@@ -80,29 +88,26 @@ def emd(a: PointCloud, b: PointCloud, mode: str = "exact",
     """
     if a.count == 0 or b.count == 0:
         raise ValueError("emd: empty cloud")
+    if mode not in ("exact", "approx"):
+        raise ValueError(f"unknown emd mode {mode!r}")
+    m = min(a.count, b.count)
+    if mode == "exact" and m > EXACT_EMD_LIMIT:
+        raise ValueError(
+            f"exact EMD limited to n<={EXACT_EMD_LIMIT}, got {m}; use approx")
     pa, pb = a.points, b.points
-    resampled = False
-    if len(pa) != len(pb):
-        resampled = True
+    resampled = len(pa) != len(pb)
+    if resampled:
         rng = np.random.default_rng(seed)
-        m = min(len(pa), len(pb))
         if len(pa) > m:
             pa = pa[rng.choice(len(pa), m, replace=False)]
         if len(pb) > m:
             pb = pb[rng.choice(len(pb), m, replace=False)]
     cost = cdist(pa, pb)
     if mode == "exact":
-        if len(pa) > EXACT_EMD_LIMIT:
-            raise ValueError(
-                f"exact EMD limited to n<={EXACT_EMD_LIMIT}, got {len(pa)}; use approx")
         rows, cols = linear_sum_assignment(cost)
-        value = float(cost[rows, cols].mean())
-    elif mode == "approx":
-        assign = _auction_assignment(cost)
-        value = float(cost[np.arange(len(pa)), assign].mean())
     else:
-        raise ValueError(f"unknown emd mode {mode!r}")
-    return value, resampled
+        rows, cols = np.arange(m), _auction_assignment(cost)
+    return float(cost[rows, cols].mean()), resampled
 
 
 def fscore(pred: PointCloud, ref: PointCloud, tau: float = F1_TAU) -> float:

@@ -1,13 +1,17 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
+from buildiff import datagen, metrics
 from buildiff.geometry import PointCloud, normalize_unit_cube
-from buildiff.metrics import (EXACT_EMD_LIMIT, PairReport, chamfer, emd,
-                              evaluate_pair, fscore, write_report_jsonl)
+from buildiff.metrics import (EXACT_EMD_LIMIT, PairReport, _auction_assignment,
+                              chamfer, emd, evaluate_pair, fscore,
+                              write_report_jsonl)
 
 
 def brute_chamfer(a, b):
@@ -29,6 +33,45 @@ def brute_emd(a, b):
 
 def cloud(pts):
     return PointCloud(np.asarray(pts, dtype=float))
+
+
+def reference_auction(cost):
+    """The auction as first written, on benefit = -cost with argmax and
+    max: every bid of `_auction_assignment` must match it bit for bit."""
+    n = cost.shape[0]
+    benefit = -cost
+    span = float(cost.max() - cost.min()) or 1.0
+    prices = np.zeros(n)
+    eps = span / 2.0
+    eps_final = span * 1e-4 / n
+    assign = np.full(n, -1, dtype=np.int64)
+    while True:
+        assign[:] = -1
+        owner = np.full(n, -1, dtype=np.int64)
+        unassigned = list(range(n))
+        while unassigned:
+            i = unassigned.pop()
+            values = benefit[i] - prices
+            j = int(np.argmax(values))
+            v1 = values[j]
+            values[j] = -np.inf
+            v2 = values.max()
+            prices[j] += (v1 - v2) + eps
+            prev = owner[j]
+            owner[j] = i
+            assign[i] = j
+            if prev >= 0:
+                assign[prev] = -1
+                unassigned.append(prev)
+        if eps <= eps_final:
+            return assign
+        eps = max(eps / 5.0, eps_final)
+
+
+def assert_same_auction(cost):
+    got = _auction_assignment(cost)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_auction(cost))
 
 
 class TestChamfer:
@@ -102,6 +145,71 @@ class TestEMD:
         big = cloud(rng.normal(size=(EXACT_EMD_LIMIT + 1, 3)))
         with pytest.raises(ValueError, match="approx"):
             emd(big, big, mode="exact")
+
+    @pytest.mark.parametrize("n_a, n_b, mode, match", [
+        (EXACT_EMD_LIMIT + 1, EXACT_EMD_LIMIT + 7, "exact", "use approx"),
+        (4, 4, "fast", "unknown emd mode"),
+    ])
+    def test_bad_arguments_rejected_before_cost_matrix(self, monkeypatch, n_a,
+                                                       n_b, mode, match):
+        def no_cdist(*args):
+            raise AssertionError("cost matrix built before the checks")
+
+        monkeypatch.setattr(metrics, "cdist", no_cdist)
+        rng = np.random.default_rng(11)
+        a, b = cloud(rng.normal(size=(n_a, 3))), cloud(rng.normal(size=(n_b, 3)))
+        with pytest.raises(ValueError, match=match):
+            emd(a, b, mode=mode)
+
+    @pytest.mark.parametrize("q", [[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    def test_approx_single_point_no_warning(self, q):
+        p = cloud([[0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, resampled = emd(p, cloud([q]), mode="approx")
+        assert value == float(np.linalg.norm(q)) and not resampled
+
+
+class TestAuctionOracle:
+    """`_auction_assignment` bids on cost + prices; the reference bids on
+    -cost - prices. Each bid must pick the same column and set the same
+    price, so the assignments are equal, not just close."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 64))
+    def test_random_clouds(self, seed, n):
+        rng = np.random.default_rng(seed)
+        assert_same_auction(cdist(rng.normal(size=(n, 3)), rng.normal(size=(n, 3))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 64))
+    def test_integer_grid_ties(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=(n, 3)).astype(float)
+        b = rng.integers(0, 3, size=(n, 3)).astype(float)
+        assert_same_auction(cdist(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 64))
+    def test_permuted_copy(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, size=(n, 3))
+        assert_same_auction(cdist(a, a[rng.permutation(n)]))
+
+    @pytest.mark.parametrize("value", [0.0, 0.75])
+    def test_constant_cost(self, value):
+        assert_same_auction(np.full((9, 9), value))
+
+    def test_jittered_building_pair(self):
+        # built as the benchmark's eval pairs are: two surface draws of one
+        # building, the prediction jittered, both normalised
+        rng = np.random.default_rng(2024)
+        spec = datagen.random_spec(rng, "gable")
+        mesh = datagen.generate_building(spec)
+        ref = datagen.sample_surface(mesh, 512, seed=spec.seed)
+        pred = datagen.sample_surface(mesh, 512, seed=spec.seed + 1).points
+        pred = normalize_unit_cube(cloud(pred + rng.normal(0.0, 0.005, pred.shape)))
+        assert_same_auction(cdist(pred.points, normalize_unit_cube(ref).points))
 
 
 class TestFscore:
