@@ -116,7 +116,8 @@ def _cmd_sample(args) -> int:
     steps = cfg.T
     if args.high_res:
         up_params = model_params(load_params(ckpt_dir / "upsampler.bdif"))
-        cloud, snapshots = sample_upsampled(make_model(up_params), z_I, cloud,
+        up_model = make_model(up_params, up_cfg.K)
+        cloud, snapshots = sample_upsampled(up_model, z_I, cloud,
                                             up_cfg.N, args.gamma, args.seed + 1,
                                             up_cfg.schedule("upsampler"),
                                             trace_stride=stride)

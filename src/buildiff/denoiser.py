@@ -84,21 +84,26 @@ def fuse_conditions(params: dict[str, np.ndarray], z_I: np.ndarray | None,
 
 
 def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
-                  z_I: np.ndarray | None, guided: bool = False):
-    """Forward pass; returns the (K, 3) noise prediction. Inside a Tape
-    it records the graph for training; outside one, as sampling calls it,
-    it keeps none.
+                  z_I: np.ndarray | None, guided: bool = False, K: int = 0):
+    """Forward pass; returns the (N - K, 3) noise prediction of rows K: of
+    the (N, 3) input, whose first K rows are the upsampler's fixed points
+    (K = 0 for the base stage). Inside a Tape it records the graph for
+    training; outside one, as sampling calls it, it keeps none.
 
-    The max-pool context and the fused time/condition features are the same
-    on every row, so they are computed once as (1, .) rows and enter the
-    first decoder layer as one bias row: ctx@W_ctx + fused@W_f + dec.b1,
-    added to h@W_h. With guided=True the unconditional branch shares the
-    point MLP and the max-pool context, then runs the whole decoder,
-    h@W_h included, like the conditional one; (eps_cond, eps_uncond) is
-    returned.
+    The point MLP and the max-pool context read all N rows; only the
+    decoder is cut to rows K:, as nothing reads a noise estimate of a
+    fixed row. The max-pool context and the fused time/condition features
+    are the same on every row, so they are computed once as (1, .) rows
+    and enter the first decoder layer as one bias row:
+    ctx@W_ctx + fused@W_f + dec.b1, added to h[K:]@W_h. With guided=True
+    the unconditional branch shares the point MLP and the max-pool context,
+    then runs the whole decoder, h[K:]@W_h included, like the conditional
+    one; (eps_cond, eps_uncond) is returned.
     """
     if xt.ndim != 2 or xt.shape[1] != 3:
-        raise ValueError(f"xt must be (K,3), got {xt.shape}")
+        raise ValueError(f"xt must be (N,3), got {xt.shape}")
+    if not 0 <= K < xt.shape[0]:
+        raise ValueError(f"need 0 <= K < N={xt.shape[0]}, got K={K}")
     h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
     w2 = h.shape[1]
@@ -107,11 +112,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     w_h, w_ctx, w_f = (T.gather_rows(params["dec.w1"], r) for r in blocks)
     ctx = T.reshape(T.reduce_max_over_points(h), (1, w2))
     ctx_bias = T.linear(ctx, w_ctx, params["dec.b1"])
+    noisy = T.gather_rows(h, np.arange(K, h.shape[0])) if K else h
 
     def branch(cond):
         fused = fuse_conditions(params, cond, t)
         bias = T.linear(fused, w_f, ctx_bias)
-        out = T.leaky_relu(T.linear(h, w_h, bias))
+        out = T.leaky_relu(T.linear(noisy, w_h, bias))
         out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
         out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
         if not np.all(np.isfinite(out)):
@@ -123,11 +129,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     return branch(z_I)
 
 
-def make_model(params: dict[str, np.ndarray]):
-    """Adapter for the sampling loops: model(xt, t, z_I_or_None) -> (K,3);
+def make_model(params: dict[str, np.ndarray], K: int = 0):
+    """Adapter for the sampling chain, with the count K of fixed rows
+    bound: model(xt, t, z_I_or_None) -> (N - K, 3);
     model(xt, t, z_I, guided=True) -> (eps_cond, eps_uncond) from one
     shared point trunk. denoise_graph is looked up at each call, so a
     wrapper patched into this module sees the sampling calls too."""
     def model(xt, t, z_I, guided=False):
-        return denoise_graph(params, xt, t, z_I, guided=guided)
+        return denoise_graph(params, xt, t, z_I, guided=guided, K=K)
     return model

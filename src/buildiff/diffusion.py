@@ -64,32 +64,38 @@ def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
            schedule: NoiseSchedule,
            trace_stride: int) -> tuple[PointCloud, Snapshots]:
     """The one reverse chain, from Gaussian noise to an N-point cloud whose
-    first K = len(fixed) rows are re-imposed before every model call and at
-    the end, so they survive bitwise; K = 0 is the base chain. Snapshots
-    (t, points) are taken every trace_stride steps and at t=0.
+    first K = len(fixed) rows are written once and never stepped, so they
+    survive bitwise, in the cloud and in every snapshot; K = 0 is the base
+    chain. Snapshots (t, points) are taken every trace_stride steps and at
+    t=0.
 
-    model(xt, t, z_I_or_None) -> (N,3) noise prediction; for gamma != 0 the
-    loop calls model(xt, t, z_I, guided=True) once per step, which returns
-    (eps_cond, eps_uncond). Deterministic in (seed, gamma, model).
+    model(xt, t, z_I_or_None) -> (N-K,3) noise prediction of rows K:; for
+    gamma != 0 the loop calls model(xt, t, z_I, guided=True) once per step,
+    which returns (eps_cond, eps_uncond). Any other shape raises ValueError.
+    Each step's z is drawn for all N rows and its rows K: are used, so the
+    random stream is the same for every K. Deterministic in
+    (seed, gamma, model).
     """
     K = fixed.shape[0]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((N, 3))
+    x[:K] = fixed
     snapshots = []
     for t in range(schedule.T, 0, -1):
-        x[:K] = fixed
         if gamma == 0.0:
             eps = model(x, t, z_I)
         else:
             eps = guided_epsilon(*model(x, t, z_I, guided=True), gamma)
+        if eps.shape != (N - K, 3):
+            raise ValueError(f"model returned shape {eps.shape} at step t={t}, "
+                             f"want ({N - K}, 3) for rows K={K}..N={N}")
         # a non-finite branch makes the guided combination non-finite too
         if not np.all(np.isfinite(eps)):
             raise FloatingPointError(f"non-finite model output at step t={t}")
-        z = rng.standard_normal((N, 3)) if t > 1 else None
-        x = ancestral_step(x, t, eps, z, schedule)
+        z = rng.standard_normal((N, 3))[K:] if t > 1 else None
+        x[K:] = ancestral_step(x[K:], t, eps, z, schedule)
         if trace_stride and (t % trace_stride == 0 or t == 1):
             snapshots.append((t - 1, x.copy()))
-    x[:K] = fixed
     return PointCloud(x), snapshots
 
 

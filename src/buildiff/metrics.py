@@ -36,8 +36,13 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean of squared nearest-neighbour distances."""
     if a.count == 0 or b.count == 0:
         raise ValueError("chamfer: empty cloud")
-    return float(nearest_squared_distances(a.points, b.points).mean()
-                 + nearest_squared_distances(b.points, a.points).mean())
+    return _chamfer(nearest_squared_distances(a.points, b.points),
+                    nearest_squared_distances(b.points, a.points))
+
+
+def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    """Chamfer distance from the squared nearest distances each way."""
+    return float(d_ab.mean() + d_ba.mean())
 
 
 def _auction_assignment(cost: np.ndarray) -> np.ndarray:
@@ -117,10 +122,15 @@ def fscore(pred: PointCloud, ref: PointCloud, tau: float = F1_TAU) -> float:
         raise ValueError("fscore: empty cloud")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    precision = 100.0 * np.mean(
-        nearest_squared_distances(pred.points, ref.points) <= tau)
-    recall = 100.0 * np.mean(
-        nearest_squared_distances(ref.points, pred.points) <= tau)
+    return _fscore(nearest_squared_distances(pred.points, ref.points),
+                   nearest_squared_distances(ref.points, pred.points), tau)
+
+
+def _fscore(d_pr: np.ndarray, d_rp: np.ndarray, tau: float) -> float:
+    """F1 in percent from the squared nearest distances pred->ref and
+    ref->pred."""
+    precision = 100.0 * np.mean(d_pr <= tau)
+    recall = 100.0 * np.mean(d_rp <= tau)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -129,16 +139,19 @@ def fscore(pred: PointCloud, ref: PointCloud, tau: float = F1_TAU) -> float:
 def evaluate_pair(pred: PointCloud, ref: PointCloud, emd_mode: str | None = None,
                   seed: int = 0) -> PairReport:
     """Full report: CD x100, EMD x100, F1(tau), each taken after both clouds
-    are normalized to [-1,1]^3."""
+    are normalized to [-1,1]^3. CD and F1 share one nearest-neighbour
+    query each way."""
     pred = normalize_unit_cube(pred)
     ref = normalize_unit_cube(ref)
     if emd_mode is None:
         emd_mode = "exact" if min(pred.count, ref.count) <= EXACT_EMD_LIMIT else "approx"
     emd_val, resampled = emd(pred, ref, mode=emd_mode, seed=seed)
+    d_pr = nearest_squared_distances(pred.points, ref.points)
+    d_rp = nearest_squared_distances(ref.points, pred.points)
     return PairReport(
-        cd_scaled=chamfer(pred, ref) * 100.0,
+        cd_scaled=_chamfer(d_pr, d_rp) * 100.0,
         emd_scaled=emd_val * 100.0,
-        f1=fscore(pred, ref),
+        f1=_fscore(d_pr, d_rp, F1_TAU),
         n_pred=pred.count,
         n_ref=ref.count,
         emd_mode=emd_mode,

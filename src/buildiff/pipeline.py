@@ -146,16 +146,40 @@ def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
     return T.scale(T.add(term1, term2), lam)
 
 
+def sample_losses(params, x0: np.ndarray, fixed: np.ndarray, t: int,
+                  eps: np.ndarray, z_I: np.ndarray | None,
+                  schedule: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """(L_eps, L_reg) of one training sample at step t with noise eps.
+
+    The first K = len(fixed) rows of x_t are the clean `fixed` rows; the
+    denoiser predicts the noise of rows K: only, and L_eps is its MSE
+    against eps[K:]. The footprint term compares x0 with the clean fixed
+    rows followed by rows K: as reconstructed from that prediction; it is
+    built only when lambda(t) > 0."""
+    N, K = x0.shape[0], fixed.shape[0]
+    xt = forward_noise(x0, t, eps, schedule)
+    xt[:K] = fixed
+    eps_hat = denoise_graph(params, xt, t, z_I, K=K)
+    L_eps = T.mse(eps[K:], eps_hat)
+    if lambda_weight(t, schedule.T) == 0.0:
+        return L_eps, np.array(0.0)
+    x0_hat = reconstruct_x0(xt[K:], t, eps_hat, schedule)
+    if K:
+        # index -1 gathers a zero row: zeros in rows :K, then add `fixed`
+        x0_hat = T.add(T.gather_rows(x0_hat, np.arange(N) - K),
+                       np.concatenate([fixed, np.zeros((N - K, 3))]))
+    return L_eps, regularization_loss(x0, x0_hat, t, schedule)
+
+
 def train_step(params, state: AdamState,
                batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                config: TrainConfig, schedule: NoiseSchedule,
                rng: np.random.Generator, epoch: int = 0,
                step: int = 0) -> StepLog:
     """One optimizer step over a batch of (x0 (N,3), fixed (K,3), embedding)
-    triples, with per-sample classifier-free drop. The first K rows of x_t
-    are replaced by the clean `fixed` rows before the model call and are
-    excluded from the noise loss: the upsampler passes its low-res cloud,
-    the base stage a (0, 3) block such as x0[:0]."""
+    triples, with per-sample classifier-free drop; see sample_losses. The
+    upsampler passes its low-res cloud as `fixed`, the base stage a (0, 3)
+    block such as x0[:0]."""
     if not batch:
         raise ValueError("empty batch")
     ts, lams, drops = [], [], []
@@ -168,14 +192,10 @@ def train_step(params, state: AdamState,
             t = int(rng.integers(1, schedule.T + 1))
             eps = rng.standard_normal(x0.shape)
             dropped = bool(rng.random() < config.drop_prob)
-            z_I = None if dropped else emb
-            xt = forward_noise(x0, t, eps, schedule)
-            xt[:K] = fixed
-            eps_hat = denoise_graph(params, xt, t, z_I)
-            noisy = T.gather_rows(eps_hat, np.arange(K, N)) if K else eps_hat
-            eps_terms.append(T.mse(eps[K:], noisy))
-            x0_hat = reconstruct_x0(xt, t, eps_hat, schedule)
-            reg_terms.append(regularization_loss(x0, x0_hat, t, schedule))
+            L_eps, L_reg = sample_losses(params, x0, fixed, t, eps,
+                                         None if dropped else emb, schedule)
+            eps_terms.append(L_eps)
+            reg_terms.append(L_reg)
             ts.append(t)
             lams.append(lambda_weight(t, schedule.T))
             drops.append(dropped)

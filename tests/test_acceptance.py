@@ -262,7 +262,7 @@ def test_criterion_09_upsampler_exactness():
     rng = np.random.default_rng(5)
     params["dec.out_w"][...] = rng.normal(size=params["dec.out_w"].shape) * 0.05
     lowres = PointCloud(rng.normal(size=(32, 3)))
-    out, _ = sample_upsampled(make_model(params), rng.normal(size=8), lowres,
+    out, _ = sample_upsampled(make_model(params, K=32), rng.normal(size=8), lowres,
                               128, 4.0, seed=6, schedule=sch)
     ok = np.array_equal(out.points[:32], lowres.points)
     verdict(9, ok, "upsampled cloud's first K points equal the low-res input bitwise")

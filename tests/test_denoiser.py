@@ -113,6 +113,42 @@ class TestForward:
             denoise_graph(p, xt, 3, z, guided=True)
         assert recorded_ops() > 0
 
+    @pytest.mark.parametrize("K", [1, 4, 9])
+    def test_decodes_rows_from_k(self, K):
+        """With K fixed rows the context still reads all N rows, and the
+        decoder returns the rows K: of the full-decode output."""
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(17)
+        xt = rng.normal(size=(10, 3))
+        z = rng.normal(size=8)
+        for cond in (z, None):
+            got = denoise_graph(p, xt, 5, cond, K=K)
+            assert got.shape == (10 - K, 3)
+            np.testing.assert_allclose(got, denoise_graph(p, xt, 5, cond)[K:],
+                                       rtol=0, atol=1e-12)
+        got_c, got_u = denoise_graph(p, xt, 5, z, guided=True, K=K)
+        want_c, want_u = denoise_graph(p, xt, 5, z, guided=True)
+        np.testing.assert_allclose(got_c, want_c[K:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_u, want_u[K:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("K", [-1, 4, 5])
+    def test_rejects_k_outside_rows(self, K):
+        p = small_params()
+        with pytest.raises(ValueError, match=f"got K={K}"):
+            denoise_graph(p, np.zeros((4, 3)), 1, None, K=K)
+
+    def test_make_model_binds_k(self):
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(18)
+        xt = rng.normal(size=(6, 3))
+        z = rng.normal(size=8)
+        model = make_model(p, 2)
+        np.testing.assert_array_equal(model(xt, 3, z),
+                                      denoise_graph(p, xt, 3, z, K=2))
+        for got, want in zip(model(xt, 3, z, guided=True),
+                             denoise_graph(p, xt, 3, z, guided=True, K=2)):
+            np.testing.assert_array_equal(got, want)
+
     def test_make_model_adapter(self):
         p = randomize_output_layer(small_params())
         model = make_model(p)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
+from buildiff.denoiser import DenoiserConfig, init_denoiser_params, make_model
 from buildiff.diffusion import (ancestral_step, forward_noise, guided_epsilon,
                                 reconstruct_x0, sample_base, sample_upsampled)
 from buildiff.geometry import PointCloud
@@ -117,10 +118,11 @@ class TestAncestralStep:
             ancestral_step(np.zeros((2, 3)), 0, np.zeros((2, 3)), None, SCH)
 
 
-def analytic_point_mass_model(x0):
+def analytic_point_mass_model(x0, K=0):
+    """The exact noise of a point mass at x0, for rows K: of x_t."""
     def model(xt, t, z_I):
         ab = SCH.alpha_bar(t)
-        return (xt - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
+        return (xt[K:] - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
     return model
 
 
@@ -170,7 +172,7 @@ class TestSamplingLoops:
     def test_upsampler_first_k_bitwise(self):
         rng = np.random.default_rng(11)
         lowres = PointCloud(rng.normal(size=(16, 3)))
-        model = analytic_point_mass_model(np.zeros(3))
+        model = analytic_point_mass_model(np.zeros(3), K=16)
         out, _ = sample_upsampled(model, None, lowres, 48, 0.0, seed=4,
                                   schedule=SCH)
         assert out.count == 48
@@ -179,16 +181,35 @@ class TestSamplingLoops:
     def test_upsampler_boundary_n_k_plus_one(self):
         rng = np.random.default_rng(12)
         lowres = PointCloud(rng.normal(size=(8, 3)))
-        model = analytic_point_mass_model(np.zeros(3))
+        model = analytic_point_mass_model(np.zeros(3), K=8)
         out, _ = sample_upsampled(model, None, lowres, 9, 0.0, seed=5,
                                   schedule=SCH)
         assert out.count == 9
 
     def test_upsampler_rejects_small_n(self):
         lowres = PointCloud(np.zeros((8, 3)) + np.arange(8)[:, None])
-        model = analytic_point_mass_model(np.zeros(3))
+        model = analytic_point_mass_model(np.zeros(3), K=8)
         with pytest.raises(ValueError):
             sample_upsampled(model, None, lowres, 8, 0.0, seed=0, schedule=SCH)
+
+    @pytest.mark.parametrize("rows", [48, 31])
+    def test_upsampler_rejects_model_of_other_shape(self, rows):
+        """The model must return rows K: only; a full-row (N, 3) output
+        or any other shape names the shape it got."""
+        lowres = PointCloud(np.random.default_rng(13).normal(size=(16, 3)))
+
+        def model(xt, t, z_I):
+            return np.zeros((rows, 3))
+
+        with pytest.raises(ValueError, match=rf"shape \({rows}, 3\).*want \(32, 3\)"):
+            sample_upsampled(model, None, lowres, 48, 0.0, seed=0, schedule=SCH)
+
+    def test_guided_model_of_other_shape(self):
+        def model(xt, t, z_I, guided=False):
+            return np.zeros((3, 3)), np.zeros((3, 3))
+
+        with pytest.raises(ValueError, match=r"shape \(3, 3\).*want \(4, 3\)"):
+            sample_base(model, None, 4, 4.0, seed=0, schedule=SCH)
 
     def test_nonfinite_model_aborts_with_step(self):
         def bad(xt, t, z_I):
@@ -196,3 +217,48 @@ class TestSamplingLoops:
 
         with pytest.raises(FloatingPointError, match="t=100"):
             sample_base(bad, None, 4, 0.0, seed=0, schedule=SCH)
+
+
+def upsampler_params():
+    p = init_denoiser_params(DenoiserConfig(d=8, w1=6, w2=10, wd=12), seed=0)
+    rng = np.random.default_rng(21)
+    p["dec.out_w"][...] = rng.normal(size=p["dec.out_w"].shape) * 0.1
+    p["dec.out_b"][...] = rng.normal(size=3) * 0.1
+    return p
+
+
+class TestUpsamplerChain:
+    def test_trace_snapshots_hold_fixed_rows(self):
+        """The fixed rows are never stepped: every snapshot starts with
+        them, and the t=0 snapshot is the returned cloud bit for bit."""
+        rng = np.random.default_rng(14)
+        lowres = PointCloud(rng.normal(size=(16, 3)))
+        sch = linear_beta_schedule(20)
+        out, snapshots = sample_upsampled(
+            make_model(upsampler_params(), 16), rng.normal(size=8), lowres, 40,
+            4.0, seed=3, schedule=sch, trace_stride=1)
+        assert [t for t, _ in snapshots] == list(range(19, -1, -1))
+        for t, snap in snapshots:
+            assert np.array_equal(snap[:16], lowres.points), t
+        assert np.array_equal(snapshots[-1][1], out.points)
+
+    def test_noisy_rows_match_full_decode_chain(self):
+        """Decoding rows K: only and stepping only those rows gives the
+        rows K: of a chain that decodes and steps all N rows and writes
+        the fixed rows back before each call (the same RNG stream)."""
+        p = upsampler_params()
+        rng = np.random.default_rng(15)
+        lowres = PointCloud(rng.normal(size=(16, 3)))
+        z_I = rng.normal(size=8)
+        sch = linear_beta_schedule(20)
+        out, _ = sample_upsampled(make_model(p, 16), z_I, lowres, 40, 4.0,
+                                  seed=7, schedule=sch)
+        full = make_model(p)
+        ref = np.random.default_rng(7)
+        x = ref.standard_normal((40, 3))
+        for t in range(sch.T, 0, -1):
+            x[:16] = lowres.points
+            eps = guided_epsilon(*full(x, t, z_I, guided=True), 4.0)
+            z = ref.standard_normal((40, 3)) if t > 1 else None
+            x = ancestral_step(x, t, eps, z, sch)
+        np.testing.assert_allclose(out.points[16:], x[16:], rtol=0, atol=1e-12)

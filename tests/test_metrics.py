@@ -274,6 +274,28 @@ class TestEvaluatePair:
         assert (r1.cd_scaled, r1.emd_scaled, r1.f1) == \
             (chamfer(na, nb) * 100.0, emd(na, nb)[0] * 100.0, fscore(na, nb))
 
+    def test_two_nearest_neighbour_queries_per_pair(self, monkeypatch):
+        """CD and F1 share one query each way: 2 k-d tree queries per
+        pair, and the report equals the stand-alone metrics bit for bit."""
+        from buildiff import geometry
+        calls = []
+        inner = geometry.nearest_indices
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return inner(a, b)
+
+        monkeypatch.setattr(geometry, "nearest_indices", counting)
+        rng = np.random.default_rng(11)
+        ref = rng.uniform(-1, 1, size=(40, 3))
+        pred = cloud(ref[:30] + rng.normal(size=(30, 3)) * 0.02)
+        ref = cloud(ref)
+        rep = evaluate_pair(pred, ref)
+        assert calls == [(30, 40), (40, 30)]
+        assert 0.0 < rep.f1 < 100.0
+        na, nb = normalize_unit_cube(pred), normalize_unit_cube(ref)
+        assert (rep.cd_scaled, rep.f1) == (chamfer(na, nb) * 100.0, fscore(na, nb))
+
     def test_normalizes_unnormalized_inputs(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(15, 3)) * 40.0 + 100.0

@@ -15,8 +15,8 @@ from buildiff.geometry import (PointCloud, farthest_point_sample,
                                nearest_indices)
 from buildiff.optim import AdamState
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
-                               regularization_loss, run_training, toy_config,
-                               train_step)
+                               regularization_loss, run_training, sample_losses,
+                               toy_config, train_step)
 from buildiff.schedule import lambda_weight, linear_beta_schedule
 
 SCH = linear_beta_schedule(100)
@@ -182,6 +182,77 @@ class TestFullLossGradient:
             ad = tape.backward(T.add(L_eps, T.scale(L_reg, rho)),
                                [params[n] for n in names])
 
+        fd = T.finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
+        gmax = max(np.abs(g).max() for g in fd)
+        for name, got, g in zip(names, ad, fd):
+            assert np.abs(got - g).max() / gmax < 1e-6, name
+
+
+class TestUpsamplerLosses:
+    """sample_losses on an upsampler triple: x0 (N, 3) and its K-point FPS
+    subset as the fixed rows."""
+
+    @staticmethod
+    def triple(N=256, K=64, seed=20):
+        x0 = np.random.default_rng(seed).uniform(-1, 1, size=(N, 3))
+        fixed = farthest_point_sample(PointCloud(x0), K, seed=1).points
+        return x0, fixed
+
+    def test_footprint_flat_in_t_at_perfect_noise(self, monkeypatch):
+        """With eps_hat equal to the drawn noise the reconstructed rows are
+        x0[K:] and the fixed rows enter clean, so L_reg / lambda(t) does
+        not depend on t."""
+        sch = linear_beta_schedule(500)
+        x0, fixed = self.triple()
+        K = len(fixed)
+        eps = np.random.default_rng(21).standard_normal(x0.shape)
+        monkeypatch.setattr(P, "denoise_graph",
+                            lambda params, xt, t, z_I, K: eps[K:])
+        chamfers = []
+        for t in (10, 100, 300):
+            with T.Tape():
+                L_eps, L_reg = sample_losses(None, x0, fixed, t, eps, None, sch)
+            assert L_eps.item() == 0.0
+            chamfers.append(L_reg.item() / lambda_weight(t, sch.T))
+        assert max(chamfers) < 0.01
+        np.testing.assert_allclose(chamfers, chamfers[0], rtol=1e-9)
+
+    def test_no_footprint_graph_when_lambda_zero(self, recorded_ops):
+        """At lambda(t) = 0 nothing past the noise MSE is recorded."""
+        x0, fixed = self.triple(N=12, K=4)
+        eps = np.random.default_rng(22).standard_normal(x0.shape)
+        z = embedding(2)
+        with T.Tape():
+            denoise_graph(tiny_params(), x0, 90, z, K=4)
+        n_denoise = recorded_ops()
+        with T.Tape():
+            _, L_reg = sample_losses(tiny_params(), x0, fixed, 90, eps, z, SCH)
+        assert L_reg.item() == 0.0
+        # the denoiser call and the noise MSE
+        assert recorded_ops() - n_denoise == n_denoise + 1
+
+    @pytest.mark.parametrize("t", [10, 60])
+    def test_gradient_matches_finite_differences(self, t):
+        """The complete objective L_eps + L_reg of an upsampler sample, at
+        t=10 (lambda 0.75) and t=60 (lambda 0.25)."""
+        params = tiny_params()
+        x0, fixed = self.triple(N=10, K=3, seed=23)
+        x0 *= 0.5
+        fixed *= 0.5
+        eps = np.random.default_rng(24).standard_normal(x0.shape)
+        z = embedding(3)
+        names = sorted(params)
+
+        def loss_value(values):
+            with T.Tape():
+                L_eps, L_reg = sample_losses(dict(zip(names, values)), x0,
+                                             fixed, t, eps, z, SCH)
+                return T.add(L_eps, L_reg).item()
+
+        with T.Tape() as tape:
+            L_eps, L_reg = sample_losses(params, x0, fixed, t, eps, z, SCH)
+            assert L_reg.item() > 0.0
+            ad = tape.backward(T.add(L_eps, L_reg), [params[n] for n in names])
         fd = T.finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
         gmax = max(np.abs(g).max() for g in fd)
         for name, got, g in zip(names, ad, fd):
