@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run the whole buildiff CLI at a tiny size, for bitwise comparisons.
 
-Generates 8 training and 2 test buildings (512 points, 16 px silhouettes),
-trains the auto-encoder, base and upsampler stages for 3 epochs each at
-T=10, T_upsampler=8, K=64, N=256, d=16, batch 4, then samples the first test
-silhouette with seed 9, once base-only and once with --high-res and a trace
-every 2 steps. The high-res sample is exported to .bpc and .xyz, and `eval`
-scores it against that test building's cloud (pred/ and ref/ hold the pair
-under the building's id; report.jsonl is the report). Everything is written
-under --out, so the outputs of two source checkouts can be compared with
-`diff -r`. Takes a few seconds.
+Generates 8 training and 2 test buildings (512 points, 16 px silhouettes)
+with flat, gable and hip roofs in turn, so every roof type's triangles reach
+the compared outputs. Trains the auto-encoder, base and upsampler stages for
+3 epochs each at T=10, T_upsampler=8, K=64, N=256, d=16, batch 4, then
+samples the first test silhouette with seed 9, once base-only and once with
+--high-res and a trace every 2 steps. The high-res sample is exported to
+.bpc and .xyz, and `eval` scores it against that test building's cloud
+(pred/ and ref/ hold the pair under the building's id; report.jsonl is the
+report). Everything is written under --out, so the outputs of two source
+checkouts can be compared with `diff -r`. Takes a few seconds.
 
 Usage:
     PYTHONPATH=src python3 scripts/tiny_cli_run.py --out /tmp/tiny
@@ -40,7 +41,8 @@ def main() -> int:
     root = Path(args.out)
     data, ckpt = str(root / "data"), str(root / "ckpt")
     run("gen-data", "--out", data, "--n-train", "8", "--n-test", "2",
-        "--n-points", "512", "--resolution", "16", "--seed", "0")
+        "--n-points", "512", "--resolution", "16", "--roof-mix", "flat,gable,hip",
+        "--seed", "0")
     sets = [arg for s in SETTINGS for arg in ("--set", s)]
     for cmd in ("train-ae", "train-base", "train-upsampler"):
         run(cmd, "--dataset", data, "--out", ckpt, *sets)

@@ -136,9 +136,13 @@ def _cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     ref_dir = Path(args.ref)
 
-    def clouds_in(d: Path) -> dict[str, Path]:
-        return {p.stem: p for p in sorted(d.iterdir())
-                if p.suffix in CLOUD_LOADERS}
+    def clouds_in(d: Path) -> dict[str, list[Path]]:
+        """The cloud files in d by id, their stem."""
+        by_id: dict[str, list[Path]] = {}
+        for p in sorted(d.iterdir()):
+            if p.suffix in CLOUD_LOADERS:
+                by_id.setdefault(p.stem, []).append(p)
+        return by_id
 
     def scorable_cloud(path: Path) -> PointCloud:
         """The cloud at path; one that cannot be normalised (empty, or all
@@ -152,13 +156,18 @@ def _cmd_eval(args) -> int:
 
     preds = clouds_in(pred_dir)
     refs = clouds_in(ref_dir)
+    for paths in [*preds.values(), *refs.values()]:
+        if len(paths) > 1:
+            print("error: one id, several clouds: "
+                  + ", ".join(map(str, paths)), file=sys.stderr)
+            return EXIT_MISMATCH
     missing = sorted(set(preds) ^ set(refs))
     if missing:
         print("error: unmatched ids: " + ", ".join(missing), file=sys.stderr)
         return EXIT_MISMATCH
-    rows = [(pair_id, evaluate_pair(scorable_cloud(preds[pair_id]),
-                                    scorable_cloud(refs[pair_id]),
-                                    emd_mode=args.emd_mode, seed=args.seed))
+    rows = [(pair_id, evaluate_pair(scorable_cloud(preds[pair_id][0]),
+                                    scorable_cloud(refs[pair_id][0]),
+                                    seed=args.seed))
             for pair_id in sorted(preds)]
     summary = write_report_jsonl(args.out, rows)
     print(f"{'id':>12} {'CDx100':>10} {'EMDx100':>10} {'F1':>8}")
@@ -227,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", required=True, help="JSON-lines report path")
-    p.add_argument("--emd-mode", choices=["exact", "approx"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 

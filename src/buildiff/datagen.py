@@ -13,7 +13,24 @@ import numpy as np
 from .conditioner import SilhouetteImage, save_pgm
 from .geometry import PointCloud, normalize_unit_cube, save_bpc
 
-ROOF_TYPES = ("flat", "gable", "hip")
+# Vertices: 0-3 the z=0 ring and 4-7 the wall-top ring, each counter-clockwise
+# from the origin; a pitched roof adds 8-9, the ridge ends. Triangles face out.
+_WALLS = [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5),   # y=0, x=w
+          (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)]   # y=d, x=0
+ROOF_TRIANGLES = {
+    "flat": [(3, 1, 0), (7, 4, 5), (1, 3, 2), (5, 6, 7)] + _WALLS,  # bottom, top
+    "gable": [
+        (0, 2, 1), (0, 3, 2),                         # bottom
+        (0, 1, 5), (0, 5, 4), (2, 3, 7), (2, 7, 6),   # walls y=0, y=d
+        (3, 0, 4), (3, 4, 8), (3, 8, 7),              # gable end x=0
+        (1, 2, 6), (1, 6, 9), (1, 9, 5),              # gable end x=w
+        (4, 5, 9), (4, 9, 8), (6, 7, 8), (6, 8, 9),   # slopes y<d/2, y>d/2
+    ],
+    "hip": [(0, 2, 1), (0, 3, 2)] + _WALLS + [        # bottom, walls
+        (4, 5, 9), (4, 9, 8), (6, 7, 8), (6, 8, 9),   # trapezoids y<d/2, y>d/2
+        (7, 4, 8), (5, 6, 9),                         # hip ends x=0, x=w
+    ],
+}
 
 
 @dataclass
@@ -23,9 +40,6 @@ class BuildingSpec:
     wall_height: float
     roof_type: str = "flat"
     roof_pitch: float = 0.0      # rise over run
-    # L-shape: cut a notch of (notch_w, notch_d) out of the +x/+y corner; 0 = rectangle
-    notch_w: float = 0.0
-    notch_d: float = 0.0
     view_azimuth: float = 0.0
     view_elevation: float = 0.4
     seed: int = 0
@@ -33,7 +47,7 @@ class BuildingSpec:
     def __post_init__(self):
         if self.width <= 0 or self.depth <= 0 or self.wall_height <= 0:
             raise ValueError("building dimensions must be positive")
-        if self.roof_type not in ROOF_TYPES:
+        if self.roof_type not in ROOF_TRIANGLES:
             raise ValueError(f"unknown roof type {self.roof_type!r}")
         if self.roof_pitch < 0:
             raise ValueError("roof pitch must be >= 0")
@@ -53,122 +67,20 @@ class Mesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def _ear_clip(poly: list[tuple[float, float]]) -> list[tuple[int, int, int]]:
-    """Triangulate a simple CCW polygon by ear clipping; indices into poly."""
-    idx = list(range(len(poly)))
-    tris = []
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def inside(p, a, b, c):
-        d1 = cross(a, b, p)
-        d2 = cross(b, c, p)
-        d3 = cross(c, a, p)
-        return d1 >= 0 and d2 >= 0 and d3 >= 0
-
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
-            raise ValueError("ear clipping failed; polygon may be degenerate")
-        n = len(idx)
-        for k in range(n):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            if cross(a, b, c) <= 0:
-                continue
-            if any(inside(poly[j], a, b, c) for j in idx
-                   if j not in (i0, i1, i2)):
-                continue
-            tris.append((i0, i1, i2))
-            idx.pop(k)
-            break
-        else:
-            raise ValueError("no ear found; polygon may be non-simple")
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
-
-
-def _footprint_outline(spec: BuildingSpec) -> list[tuple[float, float]]:
-    w, d = spec.width, spec.depth
-    if spec.notch_w > 0 and spec.notch_d > 0:
-        nw, nd = spec.notch_w, spec.notch_d
-        if nw >= w or nd >= d:
-            raise ValueError("notch larger than footprint")
-        return [(0, 0), (w, 0), (w, d - nd), (w - nw, d - nd), (w - nw, d), (0, d)]
-    return [(0, 0), (w, 0), (w, d), (0, d)]
-
-
-def _prism(outline, height: float) -> Mesh:
-    n = len(outline)
-    verts = [(x, y, 0.0) for x, y in outline] + [(x, y, height) for x, y in outline]
-    tris = []
-    base = _ear_clip(outline)
-    for a, b, c in base:
-        tris.append((a, c, b))               # bottom, facing down
-        tris.append((n + a, n + b, n + c))   # top, facing up
-    for i in range(n):
-        j = (i + 1) % n
-        tris.append((i, j, n + j))
-        tris.append((i, n + j, n + i))
-    return Mesh(np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64))
-
-
-def _gable_mesh(spec: BuildingSpec) -> Mesh:
-    w, d, h = spec.width, spec.depth, spec.wall_height
-    hr = h + spec.roof_pitch * d / 2.0
-    verts = np.array([
-        (0, 0, 0), (w, 0, 0), (w, d, 0), (0, d, 0),      # 0-3 base
-        (0, 0, h), (w, 0, h), (w, d, h), (0, d, h),      # 4-7 wall top
-        (0, d / 2, hr), (w, d / 2, hr),                  # 8-9 ridge
-    ], dtype=np.float64)
-    tris = [
-        (0, 2, 1), (0, 3, 2),            # bottom
-        (0, 1, 5), (0, 5, 4),            # front wall y=0
-        (2, 3, 7), (2, 7, 6),            # back wall y=d
-        (3, 0, 4), (3, 4, 8), (3, 8, 7),  # left gable end x=0
-        (1, 2, 6), (1, 6, 9), (1, 9, 5),  # right gable end x=w
-        (4, 5, 9), (4, 9, 8),            # front roof slope
-        (6, 7, 8), (6, 8, 9),            # back roof slope
-    ]
-    return Mesh(verts, np.array(tris, dtype=np.int64))
-
-
-def _hip_mesh(spec: BuildingSpec) -> Mesh:
-    w, d, h = spec.width, spec.depth, spec.wall_height
-    if w <= d:
-        raise ValueError("hip roof requires width > depth (ridge along x)")
-    ins = d / 2.0
-    hr = h + spec.roof_pitch * d / 2.0
-    verts = np.array([
-        (0, 0, 0), (w, 0, 0), (w, d, 0), (0, d, 0),
-        (0, 0, h), (w, 0, h), (w, d, h), (0, d, h),
-        (ins, d / 2, hr), (w - ins, d / 2, hr),          # 8-9 ridge
-    ], dtype=np.float64)
-    tris = [
-        (0, 2, 1), (0, 3, 2),
-        (0, 1, 5), (0, 5, 4),
-        (1, 2, 6), (1, 6, 5),
-        (2, 3, 7), (2, 7, 6),
-        (3, 0, 4), (3, 4, 7),
-        (4, 5, 9), (4, 9, 8),            # front roof trapezoid
-        (6, 7, 8), (6, 8, 9),            # back roof trapezoid
-        (7, 4, 8),                       # left hip triangle
-        (5, 6, 9),                       # right hip triangle
-    ]
-    return Mesh(verts, np.array(tris, dtype=np.int64))
-
-
 def generate_building(spec: BuildingSpec) -> Mesh:
-    """Watertight triangle mesh for the given spec."""
-    if spec.roof_type == "flat":
-        return _prism(_footprint_outline(spec), spec.wall_height)
-    if spec.notch_w > 0 or spec.notch_d > 0:
-        raise ValueError("pitched roofs are only generated on rectangular footprints")
-    if spec.roof_type == "gable":
-        return _gable_mesh(spec)
-    return _hip_mesh(spec)
+    """Watertight triangle mesh of a w x d box with the spec's roof; a
+    pitched roof's ridge runs along x at height h + pitch * d / 2."""
+    w, d, h = spec.width, spec.depth, spec.wall_height
+    verts = [(0, 0, 0), (w, 0, 0), (w, d, 0), (0, d, 0),
+             (0, 0, h), (w, 0, h), (w, d, h), (0, d, h)]
+    if spec.roof_type == "hip" and w <= d:
+        raise ValueError("hip roof requires width > depth (ridge along x)")
+    if spec.roof_type != "flat":
+        ins = d / 2.0 if spec.roof_type == "hip" else 0.0
+        hr = h + spec.roof_pitch * d / 2.0
+        verts += [(ins, d / 2, hr), (w - ins, d / 2, hr)]
+    return Mesh(np.array(verts, dtype=np.float64),
+                np.array(ROOF_TRIANGLES[spec.roof_type], dtype=np.int64))
 
 
 def sample_surface(mesh: Mesh, n: int, seed: int,

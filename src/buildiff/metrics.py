@@ -136,15 +136,14 @@ def _fscore(d_pr: np.ndarray, d_rp: np.ndarray, tau: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def evaluate_pair(pred: PointCloud, ref: PointCloud, emd_mode: str | None = None,
-                  seed: int = 0) -> PairReport:
+def evaluate_pair(pred: PointCloud, ref: PointCloud, seed: int = 0) -> PairReport:
     """Full report: CD x100, EMD x100, F1(tau), each taken after both clouds
-    are normalized to [-1,1]^3. CD and F1 share one nearest-neighbour
-    query each way."""
+    are normalized to [-1,1]^3. EMD is exact up to EXACT_EMD_LIMIT points
+    and the auction above it. CD and F1 share one nearest-neighbour query
+    each way."""
     pred = normalize_unit_cube(pred)
     ref = normalize_unit_cube(ref)
-    if emd_mode is None:
-        emd_mode = "exact" if min(pred.count, ref.count) <= EXACT_EMD_LIMIT else "approx"
+    emd_mode = "exact" if min(pred.count, ref.count) <= EXACT_EMD_LIMIT else "approx"
     emd_val, resampled = emd(pred, ref, mode=emd_mode, seed=seed)
     d_pr = nearest_squared_distances(pred.points, ref.points)
     d_rp = nearest_squared_distances(ref.points, pred.points)

@@ -293,8 +293,13 @@ def _load_training_state(path: Path, lr: float):
         state.v[name] = blob[f"opt.v.{name}"]
     state.step_count = int(blob["opt.step"].item())
     epoch = int(blob["opt.epoch"].item())
-    with open(path.with_suffix(".rng.json")) as fh:
+    rng_path = path.with_suffix(".rng.json")
+    with open(rng_path) as fh:
         sidecar = json.load(fh)
+    if sidecar.get("epoch") != epoch:
+        # a save cut between the two writes: the RNG state is an older epoch's
+        raise ValueError(f"{rng_path}: RNG state of epoch {sidecar.get('epoch')} "
+                         f"but {path} holds epoch {epoch}; cannot resume")
     rng = np.random.default_rng()
     rng.bit_generator.state = sidecar["rng_state"]
     return params, state, epoch, rng

@@ -126,6 +126,32 @@ class TestTrainOrdering:
         assert str(path) in err and want in err and "Traceback" not in err
 
 
+class TestResume:
+    def test_resume_after_torn_save_exits_3(self, dataset, tmp_path, capsys):
+        """A crash between the .bdif and the .rng.json write leaves an
+        older RNG state beside a newer checkpoint; --resume names both
+        epochs instead of continuing off the bitwise path."""
+        ck = tmp_path / "ck"
+
+        def train_base(epochs, *extra):
+            return run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                        "--seed", "0"] + TINY_TRAIN
+                       + ["--set", f"epochs_base={epochs}", *extra])
+
+        assert run(["train-ae", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN) == 0
+        assert train_base(1) == 0
+        sidecar = ck / "base.rng.json"
+        epoch_1 = sidecar.read_bytes()
+        assert train_base(2, "--resume") == 0
+        sidecar.write_bytes(epoch_1)
+        capsys.readouterr()
+        assert train_base(3, "--resume") == 3
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and str(ck / "base.bdif") in err
+        assert "epoch 1" in err and "epoch 2" in err
+
+
 class TestConfig:
     @pytest.mark.parametrize("via", ["--set", "--config"])
     @pytest.mark.parametrize("bad", ["checkpoint_interval=0", "K=4096", "d=7",
@@ -376,16 +402,18 @@ class TestEval:
         assert f"{bad}: {want}" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
-    def test_exact_vs_approx_close(self, tmp_path):
+    @pytest.mark.parametrize("side", ["pred", "ref"])
+    def test_two_clouds_one_id_exit_4_naming_both(self, tmp_path, capsys, side):
+        """a.bpc and a.xyz in one directory give one id two clouds; eval
+        names both files instead of scoring whichever sorts last."""
         pred, ref = self.make_dirs(tmp_path, ["a"], ["a"])
-        vals = {}
-        for mode in ("exact", "approx"):
-            out = tmp_path / f"{mode}.jsonl"
-            assert run(["eval", "--pred", str(pred), "--ref", str(ref),
-                        "--out", str(out), "--emd-mode", mode]) == 0
-            vals[mode] = json.loads(out.read_text().splitlines()[0])["emd_scaled"]
-        assert vals["approx"] <= vals["exact"] * 1.02 + 1e-9
-        assert vals["approx"] >= vals["exact"] * 0.999 - 1e-9
+        d = {"pred": pred, "ref": ref}[side]
+        (d / "a.xyz").write_text("0 0 0\n1 1 1\n")
+        assert run(["eval", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(tmp_path / "r.jsonl")]) == 4
+        err = capsys.readouterr().err
+        assert str(d / "a.bpc") in err and str(d / "a.xyz") in err
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestExport:

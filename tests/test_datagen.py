@@ -36,11 +36,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             box_spec(roof_type="flat", roof_pitch=0.5)
 
-    def test_notched_pitched_rejected(self):
-        with pytest.raises(ValueError):
-            generate_building(box_spec(roof_type="gable", roof_pitch=0.5,
-                                       notch_w=0.5, notch_d=0.3))
-
 
 class TestMeshes:
     def test_flat_box_twelve_triangles(self):
@@ -52,10 +47,6 @@ class TestMeshes:
         mesh = generate_building(box_spec())  # 2 x 1 x 1 box
         # 2*(2*1) bottom+top + 2*(2*1) long walls + 2*(1*1) short walls
         assert mesh.areas().sum() == pytest.approx(10.0)
-
-    def test_l_shape_watertight(self):
-        mesh = generate_building(box_spec(notch_w=0.8, notch_d=0.4))
-        assert is_watertight(mesh)
 
     def test_gable_max_height(self):
         spec = box_spec(roof_type="gable", roof_pitch=0.8)
@@ -79,10 +70,28 @@ class TestMeshes:
         {},
         {"roof_type": "gable", "roof_pitch": 0.7},
         {"roof_type": "hip", "roof_pitch": 0.7},
-        {"notch_w": 0.6, "notch_d": 0.5},
     ])
     def test_all_variants_watertight(self, kw):
         assert is_watertight(generate_building(box_spec(**kw)))
+
+    @pytest.mark.parametrize("roof", ["flat", "gable", "hip"])
+    def test_signed_volume_matches_solid(self, roof):
+        """Sum of v0.(v1 x v2)/6 over outward triangles is the solid's
+        volume. Taken about the vertex centroid, which lies inside the
+        convex solid, so every triangle adds a positive tetrahedron and a
+        dropped or flipped one changes the sum."""
+        pitch = 0.0 if roof == "flat" else 0.6
+        spec = box_spec(roof_type=roof, roof_pitch=pitch)
+        w, d, h = spec.width, spec.depth, spec.wall_height
+        r = pitch * d / 2.0
+        want = w * d * h + {"flat": 0.0, "gable": w * d * r / 2.0,
+                            "hip": r * d * (3.0 * w - d) / 6.0}[roof]
+        mesh = generate_building(spec)
+        v = mesh.vertices[mesh.triangles] - mesh.vertices.mean(axis=0)
+        tets = np.einsum("ij,ij->i", v[:, 0], np.cross(v[:, 1], v[:, 2])) / 6.0
+        assert (tets > 0).all()
+        assert tets.sum() == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx({"flat": 2.0, "gable": 2.3, "hip": 2.25}[roof])
 
     def test_open_mesh_detected(self):
         mesh = generate_building(box_spec())
