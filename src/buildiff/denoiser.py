@@ -96,9 +96,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     are the same on every row, so they are computed once as (1, .) rows
     and enter the first decoder layer as one bias row:
     ctx@W_ctx + fused@W_f + dec.b1, added to h[K:]@W_h. With guided=True
-    the unconditional branch shares the point MLP and the max-pool context,
-    then runs the whole decoder, h[K:]@W_h included, like the conditional
-    one; (eps_cond, eps_uncond) is returned.
+    the two branches share the point MLP, the max-pool context and the
+    product h[K:]@W_h, to which each adds its own bias row (the same float
+    operation as linear's bias, so each branch is bitwise a plain call);
+    (eps_cond, eps_uncond) is returned. A plain call, as training makes,
+    takes h[K:]@W_h + bias in one linear, which keeps the bare product off
+    the tape.
     """
     if xt.ndim != 2 or xt.shape[1] != 3:
         raise ValueError(f"xt must be (N,3), got {xt.shape}")
@@ -114,10 +117,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     ctx_bias = T.linear(ctx, w_ctx, params["dec.b1"])
     noisy = T.gather_rows(h, np.arange(K, h.shape[0])) if K else h
 
+    hw = T.linear(noisy, w_h) if guided else None
+
     def branch(cond):
         fused = fuse_conditions(params, cond, t)
         bias = T.linear(fused, w_f, ctx_bias)
-        out = T.leaky_relu(T.linear(noisy, w_h, bias))
+        out = T.leaky_relu(T.add(hw, bias) if guided else T.linear(noisy, w_h, bias))
         out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
         out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
         if not np.all(np.isfinite(out)):

@@ -130,14 +130,19 @@ def load_bpc(path) -> PointCloud:
     return _cloud_of(path, pts.astype(np.float64))
 
 
+def _xyz_text(cloud: PointCloud) -> str:
+    """One "x y z" line per point, each coordinate as %.9g, formatted in
+    one string operation."""
+    return ("%.9g %.9g %.9g\n" * cloud.count) % tuple(cloud.points.ravel().tolist())
+
+
 def save_ply(path, cloud: PointCloud) -> None:
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {cloud.count}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        fh.write(_xyz_text(cloud))
 
 
 def _cloud_of(path, pts: np.ndarray) -> PointCloud:
@@ -196,7 +201,8 @@ def load_ply(path) -> PointCloud:
 
 
 def save_xyz(path, cloud: PointCloud) -> None:
-    np.savetxt(path, cloud.points, fmt="%.9g")
+    with open(path, "w") as fh:
+        fh.write(_xyz_text(cloud))
 
 
 def load_xyz(path) -> PointCloud:

@@ -295,13 +295,23 @@ def _load_training_state(path: Path, lr: float):
     epoch = int(blob["opt.epoch"].item())
     rng_path = path.with_suffix(".rng.json")
     with open(rng_path) as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:  # a write cut short
+            raise ValueError(f"{rng_path}: not valid JSON: {exc}; cannot resume") from None
+    if not isinstance(sidecar, dict):
+        raise ValueError(f'{rng_path}: needs an object with "epoch" and "rng_state"')
     if sidecar.get("epoch") != epoch:
         # a save cut between the two writes: the RNG state is an older epoch's
         raise ValueError(f"{rng_path}: RNG state of epoch {sidecar.get('epoch')} "
                          f"but {path} holds epoch {epoch}; cannot resume")
     rng = np.random.default_rng()
-    rng.bit_generator.state = sidecar["rng_state"]
+    try:
+        rng.bit_generator.state = sidecar.get("rng_state")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f'{rng_path}: "rng_state" is not a '
+                         f"{type(rng.bit_generator).__name__} state "
+                         f"({type(exc).__name__}: {exc}); cannot resume") from None
     return params, state, epoch, rng
 
 

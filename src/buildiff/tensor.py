@@ -8,9 +8,9 @@ sampling runs. ``Tape.backward(loss, wrt)`` walks the tape in reverse and
 returns the gradient of each array in ``wrt``, matched by ``id()``: a view
 of a parameter is another array and gets no gradient, so parameters enter
 a graph only through ops (``reshape``, ``gather_rows``), never through
-numpy indexing. No implicit broadcasting: shapes must match exactly. A
-bias row enters only through ``linear``, the one affine op; no other op
-broadcasts.
+numpy indexing. No implicit broadcasting: shapes must match exactly,
+except that a (1, C) row is added to every row of a (K, C) array by
+``linear``'s bias and by ``add``; no other op broadcasts.
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ def _make(inputs, value, backward_fn) -> np.ndarray:
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
+    """a + b of equal shapes, or of a (K, C) array and a (1, C) row added
+    to every row; the row's gradient sums the rows of g, as linear's bias."""
+    if a.shape == b.shape:
+        return _make([a, b], a + b, lambda g: (g, g))
+    if a.ndim != 2 or b.shape != (1, a.shape[1]):
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
-    return _make([a, b], a + b, lambda g: (g, g))
+    return _make([a, b], a + b, lambda g: (g, g.sum(axis=0).reshape(b.shape)))
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,13 +116,17 @@ def scale(a: np.ndarray, c: float) -> np.ndarray:
     return _make([a], a * c, lambda g: (g * c,))
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Affine map x@W + b of a (K, Cin) array, with b of shape (C,) or
-    (1, C) added to every row; its gradient sums the rows of g."""
+    (1, C) added to every row; its gradient sums the rows of g. Without b
+    it is the bare product x@W."""
     if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
-        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape}")
+            or b is not None and b.shape not in ((w.shape[1],), (1, w.shape[1]))):
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + "
+                         f"{None if b is None else b.shape}")
     out = x @ w
+    if b is None:
+        return _make([x, w], out, lambda g: (g @ w.T, x.T @ g))
     out += b
 
     def bwd(g):
@@ -166,27 +174,38 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
     return _make([a], y, lambda g: (g * y * (1.0 - y),))
 
 
-def reduce_max_over_points(a: np.ndarray) -> np.ndarray:
-    """Max over axis 0 of a (K, C) array. Ties route gradient to the
-    lowest index, so backward is deterministic."""
-    if a.ndim != 2:
-        raise ShapeError(f"reduce_max_over_points expects 2D, got {a.shape}")
-    # np.argmax(a, axis=0) strides down the columns of a C-ordered array;
-    # comparing against the column maxima gives the same first index faster.
-    m = a.max(axis=0)
+def _first_max_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per column of a, the first row holding its maximum m (a NaN if the
+    column has one, as np.argmax has it). np.argmax(a, axis=0) strides down
+    the columns of a C-ordered array; comparing against m is faster."""
     idx = (a == m).argmax(axis=0)
     nan = np.isnan(m)
-    if nan.any():  # a NaN is the max, as np.argmax has it
+    if nan.any():
         idx[nan] = np.isnan(a[:, nan]).argmax(axis=0)
-    cols = np.arange(a.shape[1])
-    val = a[idx, cols]  # the picked element, so the sign of a zero matches
+    return idx
+
+
+def reduce_max_over_points(a: np.ndarray) -> np.ndarray:
+    """Max over axis 0 of a (K, C) array: per column the first maximal
+    element, so a tie of +0.0 and -0.0 keeps the sign of the earlier one
+    and the gradient goes to the lowest index, deterministically. Only the
+    backward looks for that index."""
+    if a.ndim != 2:
+        raise ShapeError(f"reduce_max_over_points expects 2D, got {a.shape}")
+    m = a.max(axis=0)
+    # a.max may return either zero of a ±0.0 tie, or any NaN; only those
+    # columns take the first matching element
+    odd = ~(m != 0)
+    if odd.any():
+        a_odd = a[:, odd]
+        m[odd] = a_odd[_first_max_rows(a_odd, m[odd]), np.arange(a_odd.shape[1])]
 
     def bwd(g):
         ga = np.zeros_like(a)
-        ga[idx, cols] = g
+        ga[_first_max_rows(a, m), np.arange(a.shape[1])] = g
         return (ga,)
 
-    return _make([a], val, bwd)
+    return _make([a], m, bwd)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -151,6 +151,25 @@ class TestResume:
         assert str(sidecar) in err and str(ck / "base.bdif") in err
         assert "epoch 1" in err and "epoch 2" in err
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda text: text[:len(text) // 2], "not valid JSON"),
+        (lambda text: json.dumps({**json.loads(text), "rng_state": {"bit_generator": "PCG64"}}),
+         '"rng_state" is not a PCG64 state (KeyError'),
+        (lambda text: "[1]", '"epoch" and "rng_state"'),
+    ], ids=["cut-mid-write", "rng-state-without-keys", "not-an-object"])
+    def test_broken_rng_sidecar_exits_3_naming_it(self, dataset, tmp_path, capsys,
+                                                  edit, want):
+        ck = tmp_path / "ck"
+        argv = ["--dataset", str(dataset), "--out", str(ck), "--seed", "0"] + TINY_TRAIN
+        assert run(["train-ae"] + argv) == 0
+        assert run(["train-base"] + argv) == 0
+        sidecar = ck / "base.rng.json"
+        sidecar.write_text(edit(sidecar.read_text()))
+        capsys.readouterr()
+        assert run(["train-base"] + argv + ["--set", "epochs_base=2", "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and want in err and "Traceback" not in err
+
 
 class TestConfig:
     @pytest.mark.parametrize("via", ["--set", "--config"])

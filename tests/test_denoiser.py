@@ -230,15 +230,25 @@ class TestFactoredForward:
             np.testing.assert_allclose(grads[1][k], grads[0][k], rtol=0,
                                        atol=1e-12, err_msg=k)
 
-    def test_guided_equals_two_calls(self):
-        p = randomize_output_layer(small_params())
-        model = make_model(p)
+    @staticmethod
+    def _assert_guided_equals_two_calls(cfg, N, K):
+        """The shared h[K:]@W_h plus each branch's bias row is bitwise the
+        plain call's linear."""
+        p = randomize_output_layer(init_denoiser_params(cfg, seed=5))
+        model = make_model(p, K)
         rng = np.random.default_rng(13)
-        xt = rng.normal(size=(10, 3))
-        z = rng.normal(size=8)
+        xt = rng.normal(size=(N, 3))
+        z = rng.normal(size=cfg.d)
         eps_c, eps_u = model(xt, 6, z, guided=True)
-        np.testing.assert_allclose(eps_c, model(xt, 6, z), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(eps_u, model(xt, 6, None), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(eps_c, model(xt, 6, z))
+        np.testing.assert_array_equal(eps_u, model(xt, 6, None))
+
+    def test_guided_equals_two_calls(self):
+        self._assert_guided_equals_two_calls(SMALL, 10, 0)
+        self._assert_guided_equals_two_calls(SMALL, 10, 4)
+
+    def test_guided_equals_two_calls_at_paper_size(self):
+        self._assert_guided_equals_two_calls(DenoiserConfig(), 4096, 1024)
 
     def test_guided_call_runs_point_trunk_once(self):
         p = randomize_output_layer(small_params())
@@ -247,7 +257,8 @@ class TestFactoredForward:
         z = rng.normal(size=8)
 
         def uses(tape, name):
-            return sum(any(x is p[name] for x in e.inputs) for e in tape.entries)
+            a = p[name] if isinstance(name, str) else name
+            return sum(any(x is a for x in e.inputs) for e in tape.entries)
 
         with T.Tape() as guided:
             denoise_graph(p, xt, 6, z, guided=True)
@@ -255,13 +266,17 @@ class TestFactoredForward:
             denoise_graph(p, xt, 6, z)
         for name in ("point.w1", "point.w2", "dec.w1"):
             assert uses(guided, name) == uses(single, name), name
-        # the point MLP, the max-pool context and the split of dec.w1 are
-        # shared; each branch runs the whole decoder, h@W_h included
+        # the point MLP, the max-pool context, the split of dec.w1 and the
+        # product h@W_h are shared; each branch runs the rest of the decoder
+        w_h = next(e.output for e in guided.entries
+                   if any(x is p["dec.w1"] for x in e.inputs))
+        assert uses(guided, w_h) == 1
         assert uses(guided, "dec.w2") == 2 * uses(single, "dec.w2") == 2
 
     def test_tape_entries_per_call(self, recorded_ops):
         """One op per affine layer: at the toy config (K=256, d=32) a plain
-        call records 25 tape entries and a guided call 41."""
+        call records 25 tape entries and a guided call 42: one shared
+        h@W_h product, then one bias-row add per branch."""
         p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
         rng = np.random.default_rng(16)
         xt = rng.normal(size=(256, 3))
@@ -271,7 +286,7 @@ class TestFactoredForward:
         assert recorded_ops() == 25
         with T.Tape():
             denoise_graph(p, xt, 7, z, guided=True)
-        assert recorded_ops() == 25 + 41
+        assert recorded_ops() == 25 + 42
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())

@@ -189,6 +189,27 @@ class TestFileFormats:
         assert back.count == 33
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-6, rtol=1e-6)
 
+    @pytest.mark.parametrize("n", [0, 1, 4096])
+    def test_text_writers_bytes_equal_per_row_formatting(self, tmp_path, n):
+        """save_ply writes the header then the rows that a per-point
+        f"{x:.9g} {y:.9g} {z:.9g}" loop writes; save_xyz writes the rows
+        that np.savetxt(fmt="%.9g") writes."""
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-12, 12, size=(n, 3))
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324,
+                    -1.7976931348623157e308, 0.0, 1e16, 123456789.5, 1e-5]
+        pts.ravel()[:len(extremes)] = extremes[:pts.size]
+        cloud = G.PointCloud(pts)
+        rows = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in cloud.points)
+        G.save_ply(tmp_path / "c.ply", cloud)
+        header = (f"ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+                  "property float y\nproperty float z\nend_header\n")
+        assert (tmp_path / "c.ply").read_bytes() == (header + rows).encode()
+        G.save_xyz(tmp_path / "c.xyz", cloud)
+        np.savetxt(tmp_path / "want.xyz", cloud.points, fmt="%.9g")
+        assert (tmp_path / "c.xyz").read_bytes() == (tmp_path / "want.xyz").read_bytes()
+        assert (tmp_path / "c.xyz").read_bytes() == rows.encode()
+
     def test_bpc_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         cloud = random_cloud(rng, 17)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -103,9 +104,10 @@ def test_linear_backward_triple(bias_shape):
     ((2, 3), (3, 4), (2, 4)),
     ((2, 3), (2, 4), (4,)),
     ((3,), (3, 4), (4,)),
-], ids=["bias-width", "full-bias", "inner-dims", "x-not-2d"])
+    ((2, 3), (2, 4), None),
+], ids=["bias-width", "full-bias", "inner-dims", "x-not-2d", "no-bias"])
 def test_linear_bad_shapes_name_all_three(x_shape, w_shape, b_shape):
-    args = [np.ones(s) for s in (x_shape, w_shape, b_shape)]
+    args = [None if s is None else np.ones(s) for s in (x_shape, w_shape, b_shape)]
     with pytest.raises(T.ShapeError) as err:
         T.linear(*args)
     for s in (x_shape, w_shape, b_shape):
@@ -246,6 +248,103 @@ def test_reduce_max_bitwise_equal_to_argmax_formula():
     assert np.array_equal(np.signbit(out), np.signbit(want_val))
     assert np.array_equal(gin, want_g)
     assert np.array_equal(np.signbit(gin), np.signbit(want_g))
+
+
+def _argmax_reference(a):
+    """np.argmax(a, axis=0) and the element it picks per column: the first
+    maximum, or the first NaN."""
+    idx = np.argmax(a, axis=0)
+    return idx, a[idx, np.arange(a.shape[1])]
+
+
+def _column_kinds(rng, k):
+    """A (k, 8) array: random, +0.0 before -0.0, -0.0 before +0.0, a
+    ±0.0 column whose zeros lead, all negative, a NaN column with two
+    payloads, a NaN with zeros, and +inf ties."""
+    a = np.empty((k, 8))
+    a[:, 0] = rng.normal(size=k)
+    a[:, 1] = -rng.uniform(1, 2, size=k)
+    a[k // 3, 1], a[k // 2, 1] = 0.0, -0.0
+    a[:, 2] = -rng.uniform(1, 2, size=k)
+    a[k // 3, 2], a[k // 2, 2] = -0.0, 0.0
+    a[:, 3] = rng.integers(0, 2, size=k) * -0.0
+    a[:, 4] = -rng.uniform(1, 2, size=k)
+    a[:, 5] = rng.normal(size=k)
+    a[k // 2:, 5] = [np.nan] * (k - k // 2)
+    nan2 = np.array(np.nan).view(np.int64) | 7
+    a[k - 1, 5] = nan2.view(np.float64)  # a later NaN with another payload
+    a[:, 6] = -0.0
+    a[k // 4, 6] = np.nan
+    a[:, 7] = rng.normal(size=k)
+    a[[1, k - 2], 7] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("k", [2, 7, 300])
+def test_reduce_max_value_and_index_bitwise_by_column_kind(k):
+    """The value is bit for bit the first maximal element (NaN payloads and
+    signs of zero included), and the backward routes g to its row."""
+    rng = np.random.default_rng(k)
+    a = _column_kinds(rng, k)
+    a = np.ascontiguousarray(np.concatenate([a, a[::-1]], axis=1))
+    want_idx, want_val = _argmax_reference(a)
+    g = rng.normal(size=a.shape[1])
+    with T.Tape() as tape:
+        out = T.reduce_max_over_points(a)
+        (gin,) = tape.entries[-1].backward_fn(g)
+    assert np.array_equal(out.view(np.int64), want_val.view(np.int64))
+    want_g = np.zeros_like(a)
+    want_g[want_idx, np.arange(a.shape[1])] = g
+    assert np.array_equal(gin.view(np.int64), want_g.view(np.int64))
+
+
+def _fd_check(loss_of, params):
+    with T.Tape() as tape:
+        ads = tape.backward(loss_of(params), params)
+    fd = T.finite_diff_grad(lambda ps: loss_of(ps).item(), params, step=1e-6)
+    for ad, g in zip(ads, fd, strict=True):
+        assert np.abs(ad - g).max() / max(np.abs(g).max(), 1.0) < 1e-6
+
+
+def test_add_row_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    a, row, target = rng.normal(size=(5, 3)), rng.normal(size=(1, 3)), rng.normal(size=(5, 3))
+    _fd_check(lambda ps: T.mse(T.leaky_relu(T.add(ps[0], ps[1]), 0.2), target),
+              [a, row])
+
+
+def test_linear_without_bias_matches_finite_differences():
+    rng = np.random.default_rng(22)
+    x, w, target = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+    _fd_check(lambda ps: T.mse(T.leaky_relu(T.linear(ps[0], ps[1]), 0.2), target),
+              [x, w])
+    with T.Tape() as tape:
+        out = T.linear(x, w)
+        assert [id(i) for i in tape.entries[-1].inputs] == [id(x), id(w)]
+    assert np.array_equal(out, x @ w)
+
+
+def test_add_row_gradient_bitwise_equals_linear_bias_gradient():
+    rng = np.random.default_rng(23)
+    x, w, _ = _linear_case(rng)
+    row = rng.normal(size=(1, 4))
+    row[0, :2] = [-0.0, 0.0]
+    g = rng.normal(size=(6, 4))
+    g[:, 0] = -0.0
+    with T.Tape() as tape:
+        out = T.add(T.linear(x, w), row)
+        ga, grow = tape.entries[-1].backward_fn(g)
+        T.linear(x, w, row)
+        _, _, gb = tape.entries[-1].backward_fn(g)
+    assert np.array_equal(out.view(np.int64), (x @ w + row).view(np.int64))
+    assert ga is g and grow.shape == (1, 4)
+    assert np.array_equal(grow.view(np.int64), gb.view(np.int64))
+
+
+@pytest.mark.parametrize("b_shape", [(2, 4), (4,), (1, 3), (1, 1, 4)])
+def test_add_rejects_anything_but_a_row(b_shape):
+    with pytest.raises(T.ShapeError, match=re.escape(str(b_shape))):
+        T.add(np.ones((3, 4)), np.ones(b_shape))
 
 
 def test_gather_rows_negative_index_is_zero_row():
