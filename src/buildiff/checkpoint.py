@@ -73,3 +73,22 @@ def load_params(path) -> dict[str, np.ndarray]:
         data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
         params[name] = data.reshape(dims).astype(np.float64)
     return params
+
+
+def check_records(path, blob: dict[str, np.ndarray],
+                  shapes: dict[str, tuple[int, ...]], what: str) -> None:
+    """Raise CheckpointError naming path, the record and both shapes
+    unless blob holds exactly the records named in `shapes`, each in its
+    shape; `what` names the parameter set they describe, as in "the d=128
+    base stage"."""
+    for name, want in shapes.items():
+        if name not in blob:
+            raise CheckpointError(f"{path}: no record {name!r}; {what} "
+                                  f"needs one of shape {want}")
+        if blob[name].shape != want:
+            raise CheckpointError(f"{path}: record {name!r} has shape "
+                                  f"{blob[name].shape}; {what} needs {want}")
+    extra = sorted(blob.keys() - shapes.keys())
+    if extra:
+        raise CheckpointError(f"{path}: {what} has no record {extra[0]!r} "
+                              f"(shape {blob[extra[0]].shape})")

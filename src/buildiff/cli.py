@@ -9,16 +9,17 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_params
-from .conditioner import encode, load_pgm
+from .checkpoint import check_records, load_params
+from .conditioner import ae_shapes, encode, load_pgm
 from .datagen import build_dataset
 from .diffusion import sample_base, sample_upsampled
-from .denoiser import make_model
+from .denoiser import DenoiserConfig, init_denoiser_params, make_model
 from .geometry import (PointCloud, load_bpc, load_ply, load_xyz,
                        normalize_unit_cube, save_bpc, save_ply, save_xyz)
 from .metrics import evaluate_pair, write_report_jsonl
@@ -87,6 +88,27 @@ def _cmd_train(stage: str):
     return run
 
 
+@functools.cache
+def _denoiser_shapes(d: int) -> dict[str, tuple[int, ...]]:
+    """The parameter shapes of a d-wide denoiser, from one fresh
+    initialisation per process (about 1 ms at d=128)."""
+    return {k: v.shape for k, v in
+            init_denoiser_params(DenoiserConfig(d=d), seed=0).items()}
+
+
+def _checked_params(path: Path, shapes, what: str):
+    """The model records of the checkpoint at path, which must have the
+    names and shapes in `shapes` (see check_records)."""
+    params = model_params(load_params(path))
+    check_records(path, params, shapes, what)
+    return params
+
+
+def _checked_stage_params(ckpt_dir: Path, stage: str, cfg: TrainConfig):
+    return _checked_params(ckpt_dir / f"{stage}.bdif", _denoiser_shapes(cfg.d),
+                           f"the d={cfg.d} {stage} stage")
+
+
 def _cmd_sample(args) -> int:
     out = Path(args.out)
     saver = _cloud_saver(out)
@@ -105,8 +127,11 @@ def _cmd_sample(args) -> int:
             print(f"error: upsampler.config has K={up_cfg.K} but base.config "
                   f"has K={cfg.K} in {ckpt_dir}", file=sys.stderr)
             return EXIT_MISMATCH
-    ae_params = load_params(ckpt_dir / "autoencoder.bdif")
-    base_params = model_params(load_params(ckpt_dir / "base.bdif"))
+    ae_params = _checked_params(ckpt_dir / "autoencoder.bdif",
+                                ae_shapes(cfg.d, img.height),
+                                f"a d={cfg.d} auto-encoder of "
+                                f"{img.height}x{img.height} images")
+    base_params = _checked_stage_params(ckpt_dir, "base", cfg)
     z_I = encode(ae_params, img)
 
     stride = args.trace_stride
@@ -115,7 +140,7 @@ def _cmd_sample(args) -> int:
                                    trace_stride=stride)
     steps = cfg.T
     if args.high_res:
-        up_params = model_params(load_params(ckpt_dir / "upsampler.bdif"))
+        up_params = _checked_stage_params(ckpt_dir, "upsampler", up_cfg)
         up_model = make_model(up_params, up_cfg.K)
         cloud, snapshots = sample_upsampled(up_model, z_I, cloud,
                                             up_cfg.N, args.gamma, args.seed + 1,

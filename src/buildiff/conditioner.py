@@ -137,34 +137,33 @@ def _conv(x: np.ndarray, wgt: np.ndarray, bias: np.ndarray,
 ENC_CHANNELS = (8, 16, 32)
 
 
-def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, np.ndarray]:
+def ae_shapes(d: int, img_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each auto-encoder parameter for img_size-pixel square
+    images, in draw order; a conv weight is its (9 cin, cout) im2col
+    matrix, a bias is 1-D."""
     if img_size % 8 != 0:
-        raise ValueError("image size must be divisible by 8")
-    rng = np.random.default_rng(seed)
+        raise ValueError(f"image size must be divisible by 8, got {img_size}")
     c1, c2, c3 = ENC_CHANNELS
-    base = img_size // 8
-    flat = base * base * c3
-
-    def conv_w(cin, cout):
-        return rng.uniform(-1, 1, (9 * cin, cout)) * np.sqrt(6.0 / (9 * cin))
-
-    def lin_w(nin, nout):
-        return rng.uniform(-1, 1, (nin, nout)) * np.sqrt(6.0 / nin)
-
-    def b(n):
-        return np.zeros(n)
-
+    flat = (img_size // 8) ** 2 * c3
     return {
-        "enc.c1": conv_w(1, c1), "enc.b1": b(c1),
-        "enc.c2": conv_w(c1, c2), "enc.b2": b(c2),
-        "enc.c3": conv_w(c2, c3), "enc.b3": b(c3),
-        "enc.c4": conv_w(c3, c3), "enc.b4": b(c3),   # dilated block
-        "enc.proj": lin_w(flat, d), "enc.projb": b(d),
-        "dec.lin": lin_w(d, flat), "dec.linb": b(flat),
-        "dec.c1": conv_w(c3, c2), "dec.b1": b(c2),
-        "dec.c2": conv_w(c2, c1), "dec.b2": b(c1),
-        "dec.c3": conv_w(c1, 1), "dec.b3": b(1),
+        "enc.c1": (9, c1), "enc.b1": (c1,),
+        "enc.c2": (9 * c1, c2), "enc.b2": (c2,),
+        "enc.c3": (9 * c2, c3), "enc.b3": (c3,),
+        "enc.c4": (9 * c3, c3), "enc.b4": (c3,),   # dilated block
+        "enc.proj": (flat, d), "enc.projb": (d,),
+        "dec.lin": (d, flat), "dec.linb": (flat,),
+        "dec.c1": (9 * c3, c2), "dec.b1": (c2,),
+        "dec.c2": (9 * c2, c1), "dec.b2": (c1,),
+        "dec.c3": (9 * c1, 1), "dec.b3": (1,),
     }
+
+
+def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, np.ndarray]:
+    """Uniform Kaiming weights at fan_in = their row count; zero biases."""
+    rng = np.random.default_rng(seed)
+    return {name: (rng.uniform(-1, 1, shape) * np.sqrt(6.0 / shape[0])
+                   if len(shape) == 2 else np.zeros(shape))
+            for name, shape in ae_shapes(d, img_size).items()}
 
 
 def _encode_graph(params, pixels: np.ndarray) -> np.ndarray:

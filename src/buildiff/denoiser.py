@@ -51,12 +51,16 @@ def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, np.ndarray
     }
     params: dict[str, np.ndarray] = {}
     for name, s in spec.items():
-        if s is None:
-            out_dim = params[name.replace(".b", ".w")].shape[1]
-            params[name] = np.zeros(out_dim)
+        if s is None:  # the bias of the layer drawn just before
+            params[name] = np.zeros(w.shape[1])
+            continue
+        w = _kaiming(rng, *s)
+        if name == "dec.w1":
+            # drawn as one layer, kept as its [h | ctx | fused] row blocks
+            for suffix, block in zip("hcf", np.split(w, [w2, 2 * w2])):
+                params[name + suffix] = block.copy()
         else:
-            fan_in, shape = s
-            params[name] = _kaiming(rng, fan_in, shape)
+            params[name] = w
     # final layer zero so the fresh network predicts eps ~ 0
     params["dec.out_w"] = np.zeros((wd, 3))
     params["dec.out_b"] = np.zeros(3)
@@ -92,9 +96,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
 
     The point MLP and the max-pool context read all N rows; only the
     decoder is cut to rows K:, as nothing reads a noise estimate of a
-    fixed row. The max-pool context and the fused time/condition features
+    fixed row. The first decoder layer is three parameters, one per input
+    block: dec.w1h (W_h, w2 rows) for the per-point features h, dec.w1c
+    (W_ctx, w2 rows) for the max-pool context and dec.w1f (W_f, d rows)
+    for the fused time/condition features. The context and fused features
     are the same on every row, so they are computed once as (1, .) rows
-    and enter the first decoder layer as one bias row:
+    and enter that layer as one bias row:
     ctx@W_ctx + fused@W_f + dec.b1, added to h[K:]@W_h. With guided=True
     the two branches share the point MLP, the max-pool context and the
     product h[K:]@W_h, to which each adds its own bias row (the same float
@@ -109,12 +116,9 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
         raise ValueError(f"need 0 <= K < N={xt.shape[0]}, got K={K}")
     h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
-    w2 = h.shape[1]
-    # the rows of dec.w1 are the blocks [h | ctx | fused] (checkpoint layout)
-    blocks = np.split(np.arange(params["dec.w1"].shape[0]), [w2, 2 * w2])
-    w_h, w_ctx, w_f = (T.gather_rows(params["dec.w1"], r) for r in blocks)
-    ctx = T.reshape(T.reduce_max_over_points(h), (1, w2))
-    ctx_bias = T.linear(ctx, w_ctx, params["dec.b1"])
+    w_h, w_f = params["dec.w1h"], params["dec.w1f"]
+    ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
+    ctx_bias = T.linear(ctx, params["dec.w1c"], params["dec.b1"])
     noisy = T.gather_rows(h, np.arange(K, h.shape[0])) if K else h
 
     hw = T.linear(noisy, w_h) if guided else None

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_params, save_params
+from .checkpoint import check_records, load_params, save_params
 from .conditioner import encode, load_pgm, train_autoencoder
 from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
 from .diffusion import forward_noise, reconstruct_x0
@@ -264,15 +264,21 @@ class _DirLock:
         return False
 
 
-def _save_training_state(path: Path, params, state: AdamState, epoch: int,
-                         rng: np.random.Generator, config: TrainConfig):
+def _training_blob(params, state: AdamState, epoch: int) -> dict[str, np.ndarray]:
+    """A training checkpoint's records: the parameters, then Adam's two
+    moments of each, its step count and the epoch."""
     blob = dict(params)
     for name in params:
         blob[f"opt.m.{name}"] = state.m[name]
         blob[f"opt.v.{name}"] = state.v[name]
     blob["opt.step"] = np.array(float(state.step_count))
     blob["opt.epoch"] = np.array(float(epoch))
-    save_params(path, blob)
+    return blob
+
+
+def _save_training_state(path: Path, params, state: AdamState, epoch: int,
+                         rng: np.random.Generator, config: TrainConfig):
+    save_params(path, _training_blob(params, state, epoch))
     sidecar = {"rng_state": rng.bit_generator.state, "epoch": epoch}
     with open(path.with_suffix(".rng.json"), "w") as fh:
         json.dump(sidecar, fh)
@@ -284,8 +290,14 @@ def model_params(blob: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v for k, v in blob.items() if not k.startswith("opt.")}
 
 
-def _load_training_state(path: Path, lr: float):
+def _load_training_state(path: Path, fresh, lr: float, what: str):
+    """The parameters, Adam state, epoch and RNG saved at path; its records
+    must match those of the freshly initialised `fresh` (see
+    check_records, which names `what`)."""
     blob = load_params(path)
+    layout = _training_blob(fresh, AdamState(fresh, lr), 0)
+    check_records(path, blob, {k: v.shape for k, v in layout.items()},
+                  f"{what}'s training state")
     params = model_params(blob)
     state = AdamState(params, lr=lr)
     for name in params:
@@ -390,11 +402,11 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
         schedule = config.schedule(stage)
         data = prepare(dataset_dir, config, ae_params)
 
+        params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
         if resume and ckpt.exists():
-            params, state, start_epoch, rng = _load_training_state(ckpt, config.lr)
+            params, state, start_epoch, rng = _load_training_state(
+                ckpt, params, config.lr, f"the d={config.d} {stage} stage")
         else:
-            dcfg = DenoiserConfig(d=config.d)
-            params = init_denoiser_params(dcfg, seed=config.seed)
             state = AdamState(params, lr=config.lr)
             rng = np.random.default_rng(config.seed + {"base": 10, "upsampler": 20}[stage])
             start_epoch = 0

@@ -7,8 +7,8 @@ float64 ``np.ndarray``s; there is no tensor type. Ops record only inside
 sampling runs. ``Tape.backward(loss, wrt)`` walks the tape in reverse and
 returns the gradient of each array in ``wrt``, matched by ``id()``: a view
 of a parameter is another array and gets no gradient, so parameters enter
-a graph only through ops (``reshape``, ``gather_rows``), never through
-numpy indexing. No implicit broadcasting: shapes must match exactly,
+a graph only through ops (``linear``, ``reshape``), never through numpy
+indexing. No implicit broadcasting: shapes must match exactly,
 except that a (1, C) row is added to every row of a (K, C) array by
 ``linear``'s bias and by ``add``; no other op broadcasts.
 """

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from buildiff.checkpoint import CheckpointError, load_params, save_params
+from buildiff.checkpoint import (CheckpointError, check_records, load_params,
+                                 save_params)
 
 
 def small_params():
@@ -42,3 +43,20 @@ def test_bad_name_bytes_name_path_and_offset(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=r"p\.bdif: parameter name at byte offset 12"):
         load_params(path)
+
+
+@pytest.mark.parametrize("edit,want", [
+    (lambda b: b.pop("b"), "p.bdif: no record 'b'; the toy stage needs one of shape (3,)"),
+    (lambda b: b.update(w=np.zeros((3, 2))),
+     "p.bdif: record 'w' has shape (3, 2); the toy stage needs (2, 3)"),
+    (lambda b: b.update(x=np.zeros(4)),
+     "p.bdif: the toy stage has no record 'x' (shape (4,))"),
+], ids=["missing", "misshapen", "extra"])
+def test_check_records_names_path_record_and_shapes(edit, want):
+    blob = small_params()
+    shapes = {k: v.shape for k, v in blob.items()}
+    check_records("p.bdif", blob, shapes, "the toy stage")
+    edit(blob)
+    with pytest.raises(CheckpointError) as exc:
+        check_records("p.bdif", blob, shapes, "the toy stage")
+    assert str(exc.value) == want

@@ -11,6 +11,7 @@ import pytest
 
 from buildiff.checkpoint import load_params, save_params
 from buildiff.cli import _load_config, build_parser, main
+from buildiff.conditioner import SilhouetteImage, save_pgm
 from buildiff.geometry import (BPC_MAGIC, PointCloud, load_bpc, load_ply,
                                save_bpc, save_ply)
 from buildiff.pipeline import TrainConfig
@@ -34,6 +35,30 @@ TINY_TRAIN = ["--set", "T=10", "--set", "T_upsampler=8", "--set", "K=16",
               "--set", "epochs_base=1", "--set", "epochs_upsampler=1",
               "--set", "batch_size=2", "--set", "img_size=16",
               "--set", "checkpoint_interval=1"]
+
+
+def edit_record(blob, record, edit):
+    """blob with `record` dropped ("missing") or cut to half its rows
+    ("misshapen"); returns the record's shape before the edit."""
+    want = blob[record].shape
+    if edit == "missing":
+        del blob[record]
+    else:
+        blob[record] = blob[record][:want[0] // 2]
+    return want
+
+
+def joined_decoder_layer(blob):
+    """blob in the layout written before the first decoder layer was split:
+    one `dec.w1` record (and its Adam moments) in place of the blocks
+    `dec.w1h`, `dec.w1c` and `dec.w1f`."""
+    out = {}
+    for name, value in blob.items():
+        if name.endswith("dec.w1h"):
+            out[name[:-1]] = np.concatenate([blob[name[:-1] + b] for b in "hcf"])
+        elif not name.endswith(("dec.w1c", "dec.w1f")):
+            out[name] = value
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +196,36 @@ class TestResume:
         assert str(sidecar) in err and want in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("edit", ["missing", "misshapen", "joined-decoder-layer"])
+    def test_bad_record_exits_3_naming_it(self, dataset, checkpoints, tmp_path,
+                                          capsys, edit):
+        """--resume checks the model and the "opt." records of the training
+        checkpoint before it trains; a checkpoint from before the first
+        decoder layer was split names the first missing block."""
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        path = ck / "base.bdif"
+        blob = load_params(path)
+        if edit == "joined-decoder-layer":
+            blob = joined_decoder_layer(blob)
+            want = ["no record 'dec.w1h'"]
+        else:
+            shape = edit_record(blob, "opt.m.dec.w2", edit)
+            want = ["'opt.m.dec.w2'", str(shape)]
+            if edit == "misshapen":
+                want.append(str(blob["opt.m.dec.w2"].shape))
+        save_params(path, blob)
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN
+                   + ["--set", "epochs_base=2", "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert all(w in err for w in want), err
+        assert path.read_bytes() == before
+
+
 class TestConfig:
     @pytest.mark.parametrize("via", ["--set", "--config"])
     @pytest.mark.parametrize("bad", ["checkpoint_interval=0", "K=4096", "d=7",
@@ -261,6 +316,57 @@ class TestSample:
                     "--out", str(tmp_path / "o.ply")]) == 3
         assert "embedding contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "o.ply").exists()
+
+    @pytest.mark.parametrize("stage,record", [("autoencoder", "enc.proj"),
+                                              ("base", "dec.w2"),
+                                              ("upsampler", "dec.w1f")])
+    @pytest.mark.parametrize("edit", ["missing", "misshapen"])
+    def test_bad_record_exits_3_naming_it(self, dataset, checkpoints, tmp_path,
+                                          capsys, stage, record, edit):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        path = ck / f"{stage}.bdif"
+        blob = load_params(path)
+        want = [repr(record), str(edit_record(blob, record, edit))]
+        if edit == "misshapen":
+            want.append(str(blob[record].shape))
+        save_params(path, blob)
+        out = tmp_path / "o.ply"
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(out), "--high-res"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert all(w in err for w in want), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["base", "upsampler"])
+    def test_joined_decoder_layer_exits_3(self, dataset, checkpoints, tmp_path,
+                                          capsys, stage):
+        """A checkpoint written before the first decoder layer was split
+        into dec.w1h, dec.w1c and dec.w1f is rejected, not converted."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        path = ck / f"{stage}.bdif"
+        save_params(path, joined_decoder_layer(load_params(path)))
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(tmp_path / "o.ply"), "--high-res"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: no record 'dec.w1h'")
+
+    def test_image_of_another_size_exits_3(self, checkpoints, tmp_path, capsys):
+        """The auto-encoder's records are checked against the image's size:
+        a 24x24 silhouette for a 16x16 model names enc.proj and the size."""
+        img = tmp_path / "big.pgm"
+        save_pgm(img, SilhouetteImage(np.zeros((24, 24))))
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(checkpoints), "--image",
+                    str(img), "--out", str(tmp_path / "o.ply")]) == 3
+        err = capsys.readouterr().err
+        assert "'enc.proj' has shape (128, 8)" in err and "24x24" in err
 
     def test_config_with_retired_keys_samples(self, dataset, checkpoints,
                                               tmp_path):

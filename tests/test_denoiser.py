@@ -33,6 +33,38 @@ class TestInit:
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
+    def test_decoder_blocks_split_one_kaiming_draw(self):
+        """dec.w1h, dec.w1c and dec.w1f are the row blocks of one
+        (2 w2 + d, wd) Kaiming draw at fan_in 2 w2 + d, taken where a
+        single first decoder layer is drawn; every other draw is as it
+        was, in the same order."""
+        d, w1, w2, wd = SMALL.d, SMALL.w1, SMALL.w2, SMALL.wd
+        p = init_denoiser_params(SMALL, seed=4)
+        rng = np.random.default_rng(4)
+
+        def kaiming(rows, cols):
+            bound = np.sqrt(6.0 / rows)
+            return rng.uniform(-bound, bound, size=(rows, cols))
+
+        want = {"time.w1": kaiming(d, d), "time.w2": kaiming(d, d),
+                "fuse.w1": kaiming(2 * d, d), "fuse.w2": kaiming(d, d),
+                "point.w1": kaiming(3, w1), "point.w2": kaiming(w1, w2),
+                "dec.w1": kaiming(2 * w2 + d, wd), "dec.w2": kaiming(wd, wd),
+                "null_embed": rng.uniform(-0.1, 0.1, size=d)}
+        blocks = [p["dec.w1h"], p["dec.w1c"], p["dec.w1f"]]
+        assert [b.shape for b in blocks] == [(w2, wd), (w2, wd), (d, wd)]
+        assert all(b.flags.c_contiguous and b.base is None for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), want.pop("dec.w1"))
+        for name, w in want.items():
+            np.testing.assert_array_equal(p[name], w, err_msg=name)
+        assert list(p) == [
+            "time.w1", "time.b1", "time.w2", "time.b2", "fuse.w1", "fuse.b1",
+            "fuse.w2", "fuse.b2", "point.w1", "point.b1", "point.w2", "point.b2",
+            "dec.w1h", "dec.w1c", "dec.w1f", "dec.b1", "dec.w2", "dec.b2",
+            "dec.out_w", "dec.out_b", "null_embed"]
+        for name in set(p) - set(want) - {"dec.w1h", "dec.w1c", "dec.w1f"}:
+            assert not p[name].any(), name
+
     def test_default_parameter_count_under_budget(self):
         p = init_denoiser_params(DenoiserConfig(), seed=0)
         n = sum(v.size for v in p.values())
@@ -175,9 +207,17 @@ class TestForward:
         assert seen == [False, True]
 
 
-def concat_forward(params, xt, t, z_I):
+def concat_w1(params):
+    """The first decoder layer as one (2 w2 + d, wd) matrix."""
+    return np.concatenate([params["dec.w1h"], params["dec.w1c"],
+                           params["dec.w1f"]])
+
+
+def concat_forward(params, xt, t, z_I, w1=None):
     """Reference forward: the row-constant features broadcast to (K, .),
-    concatenated as [h | ctx | fused] and multiplied through all of dec.w1."""
+    concatenated as [h | ctx | fused] and multiplied through the first
+    decoder layer's three blocks, concatenated (or through w1)."""
+    w1 = concat_w1(params) if w1 is None else w1
     rows = np.zeros(xt.shape[0], dtype=np.int64)  # repeat a (1, .) row K times
     h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
@@ -185,7 +225,7 @@ def concat_forward(params, xt, t, z_I):
     ctx = T.gather_rows(ctx, rows)
     fused = T.gather_rows(fuse_conditions(params, z_I, t), rows)
     feat = T.concat_last_axis([h, ctx, fused])
-    out = T.leaky_relu(T.linear(feat, params["dec.w1"], params["dec.b1"]))
+    out = T.leaky_relu(T.linear(feat, w1, params["dec.b1"]))
     out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
     return T.linear(out, params["dec.out_w"], params["dec.out_b"])
 
@@ -214,21 +254,25 @@ class TestFactoredForward:
                                        rtol=0, atol=1e-12)
 
     def test_gradients_match_concatenated_reference(self):
+        """Each block's gradient is its rows of the concatenated layer's."""
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(12)
         xt = rng.normal(size=(7, 3))
         target = rng.normal(size=(7, 3))
         z = rng.normal(size=8)
-        grads = []
-        for forward in (concat_forward, denoise_graph):
-            with T.Tape() as tape:
-                g = tape.backward(T.mse(forward(p, xt, 4, z), target),
-                                  list(p.values()))
-            grads.append(dict(zip(p, g)))
-        assert sorted(grads[0]) == sorted(grads[1])
-        for k in grads[0]:
-            np.testing.assert_allclose(grads[1][k], grads[0][k], rtol=0,
-                                       atol=1e-12, err_msg=k)
+        w1 = concat_w1(p)
+        with T.Tape() as tape:
+            g_w1, *g = tape.backward(T.mse(concat_forward(p, xt, 4, z, w1), target),
+                                     [w1] + list(p.values()))
+        want = dict(zip(p, g))
+        want.update(zip(("dec.w1h", "dec.w1c", "dec.w1f"),
+                        np.split(g_w1, [SMALL.w2, 2 * SMALL.w2])))
+        with T.Tape() as tape:
+            got = dict(zip(p, tape.backward(T.mse(denoise_graph(p, xt, 4, z), target),
+                                            list(p.values()))))
+        for k in p:
+            np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12,
+                                       err_msg=k)
 
     @staticmethod
     def _assert_guided_equals_two_calls(cfg, N, K):
@@ -264,29 +308,41 @@ class TestFactoredForward:
             denoise_graph(p, xt, 6, z, guided=True)
         with T.Tape() as single:
             denoise_graph(p, xt, 6, z)
-        for name in ("point.w1", "point.w2", "dec.w1"):
-            assert uses(guided, name) == uses(single, name), name
-        # the point MLP, the max-pool context, the split of dec.w1 and the
-        # product h@W_h are shared; each branch runs the rest of the decoder
-        w_h = next(e.output for e in guided.entries
-                   if any(x is p["dec.w1"] for x in e.inputs))
-        assert uses(guided, w_h) == 1
-        assert uses(guided, "dec.w2") == 2 * uses(single, "dec.w2") == 2
+        for name in ("point.w1", "point.w2", "dec.w1h", "dec.w1c"):
+            assert uses(guided, name) == uses(single, name) == 1, name
+        # the point MLP, the max-pool context, ctx@W_ctx and the product
+        # hw = h@W_h are shared; each branch adds its bias row to hw and
+        # runs the rest of the decoder
+        hw = next(e.output for e in guided.entries
+                  if any(x is p["dec.w1h"] for x in e.inputs))
+        assert uses(guided, hw) == 2
+        for name in ("dec.w1f", "dec.w2"):
+            assert uses(guided, name) == 2 * uses(single, name) == 2, name
+        # the decoder reads its weights whole: the only row gather is the
+        # cut h[K:] of an upsampler call
+        with T.Tape() as cut:
+            denoise_graph(p, xt, 6, z, guided=True, K=4)
+        gathers = [e for tape in (guided, single, cut) for e in tape.entries
+                   if e.backward_fn.__qualname__.startswith("gather_rows.")]
+        assert len(gathers) == 1
+        assert not any(x is v for e in gathers for x in e.inputs
+                       for v in p.values())
 
     def test_tape_entries_per_call(self, recorded_ops):
-        """One op per affine layer: at the toy config (K=256, d=32) a plain
-        call records 25 tape entries and a guided call 42: one shared
-        h@W_h product, then one bias-row add per branch."""
+        """One op per affine layer, and no gather of weight rows: at the toy
+        config (K=256, d=32) a plain call records 22 tape entries and a
+        guided call 39: one shared h@W_h product, then one bias-row add per
+        branch."""
         p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
         rng = np.random.default_rng(16)
         xt = rng.normal(size=(256, 3))
         z = rng.normal(size=32)
         with T.Tape():
             denoise_graph(p, xt, 7, z)
-        assert recorded_ops() == 25
+        assert recorded_ops() == 22
         with T.Tape():
             denoise_graph(p, xt, 7, z, guided=True)
-        assert recorded_ops() == 25 + 42
+        assert recorded_ops() == 22 + 39
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())
