@@ -7,7 +7,9 @@ payload f64 row-major.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -21,9 +23,25 @@ class CheckpointError(IOError):
     pass
 
 
+@contextlib.contextmanager
+def replaced(path, mode: str = "wb"):
+    """A file opened for writing at `<path>.tmp`, moved onto path by one
+    os.replace when the block ends. If the block raises, the temp file is
+    removed and path is left as it was. No fsync: this survives a killed
+    process, not a power loss."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_params(path, params: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    """Write params to path in one commit point (see `replaced`)."""
+    with replaced(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, p in params.items():
@@ -39,7 +57,8 @@ def save_params(path, params: dict[str, np.ndarray]) -> None:
 
 def load_params(path) -> dict[str, np.ndarray]:
     """Read a checkpoint; a malformed or truncated file raises
-    CheckpointError naming the path and the byte offset."""
+    CheckpointError naming the path and the byte offset, and no other
+    error."""
     path = Path(path)
     buf = memoryview(path.read_bytes())
     pos = 0
@@ -71,7 +90,11 @@ def load_params(path) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         n = math.prod(dims)
         data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
-        params[name] = data.reshape(dims).astype(np.float64)
+        try:
+            params[name] = data.reshape(dims).astype(np.float64)
+        except ValueError as exc:  # more dims than numpy takes, or too big
+            raise CheckpointError(f"{path}: shape {dims} of {name!r} at byte "
+                                  f"offset {at}: {exc}") from None
     return params
 
 

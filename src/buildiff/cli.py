@@ -47,8 +47,7 @@ def _load_config(args) -> TrainConfig:
     """The preset, then --config, then --set, then --seed, in that order."""
     cfg = toy_config() if args.toy else TrainConfig()
     if args.config:
-        cfg = cfg.with_lines(Path(args.config).read_text().splitlines(),
-                             args.config)
+        cfg = cfg.with_file(args.config)
     cfg = cfg.with_lines(args.set or [], "--set")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -120,6 +119,10 @@ def _cmd_sample(args) -> int:
                   file=sys.stderr)
             return EXIT_DEPENDENCY
     img = load_pgm(args.image)
+    if img.height != img.width or img.height % 8:
+        raise ValueError(f"{args.image}: silhouette is {img.height}x{img.width}; "
+                         f"the auto-encoder takes square images whose side "
+                         f"is a multiple of 8")
     cfg = TrainConfig.load(ckpt_dir / "base.config")
     if args.high_res:
         up_cfg = TrainConfig.load(ckpt_dir / "upsampler.config")

@@ -169,11 +169,10 @@ class DatasetManifest:
         """Read a manifest: an "entries" list of objects with string
         MANIFEST_FIELDS. Invalid JSON or a missing or mistyped field raises
         ValueError naming the path, and the entry index and field."""
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        try:
+            doc = json.loads(Path(path).read_bytes())
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
         entries = doc.get("entries") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f'{path}: the manifest needs an "entries" list')

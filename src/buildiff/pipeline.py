@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import check_records, load_params, save_params
+from .checkpoint import (CheckpointError, check_records, load_params, replaced,
+                         save_params)
 from .conditioner import encode, load_pgm, train_autoencoder
 from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
 from .diffusion import forward_noise, reconstruct_x0
@@ -88,15 +89,23 @@ class TrainConfig:
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
 
+    def with_file(self, path) -> "TrainConfig":
+        """This config with the lines of the file at path applied (see
+        with_lines); bytes that are not UTF-8 raise ValueError naming path."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        return self.with_lines(text.splitlines(), str(path))
+
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with replaced(path, "w") as fh:
             for f in dataclasses.fields(self):
                 fh.write(f"{f.name}={getattr(self, f.name)}\n")
 
     @staticmethod
     def load(path) -> "TrainConfig":
-        return TrainConfig().with_lines(Path(path).read_text().splitlines(),
-                                        str(path))
+        return TrainConfig().with_file(path)
 
 
 def toy_config(seed: int = 0) -> TrainConfig:
@@ -247,6 +256,9 @@ def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
 
 
 class _DirLock:
+    """`.lock` in a checkpoint directory, holding its owner's pid; it is
+    never taken from another run, even one that no longer runs."""
+
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
 
@@ -254,35 +266,64 @@ class _DirLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RuntimeError(
-                f"checkpoint directory {self.path.parent} is locked by another run")
-        os.close(fd)
+            raise FileExistsError(f"{self.path}: checkpoint directory is "
+                                  f"locked by {self._owner()}") from None
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         return self
+
+    def _owner(self) -> str:
+        text = self.path.read_bytes().strip()
+        if not text.isdigit() or int(text) == 0:
+            return "a run that wrote no pid"
+        pid = int(text)
+        try:
+            os.kill(pid, 0)  # signal 0: only asks whether pid exists
+        except (ProcessLookupError, OverflowError):
+            return (f"pid {pid}, which no longer runs; delete the lock file "
+                    f"if no other run uses the directory")
+        except PermissionError:  # runs, under another user
+            pass
+        return f"pid {pid}, which is still running"
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
         return False
 
 
-def _training_blob(params, state: AdamState, epoch: int) -> dict[str, np.ndarray]:
+def _training_blob(params, state: AdamState, epoch: int,
+                   rng: np.random.Generator) -> dict[str, np.ndarray]:
     """A training checkpoint's records: the parameters, then Adam's two
-    moments of each, its step count and the epoch."""
+    moments of each, its step count, the epoch and `opt.rng`, the PCG64
+    state of rng as ten 32-bit words (each exact in float64): `state` and
+    `inc`, least significant word first, then `has_uint32` and `uinteger`."""
     blob = dict(params)
     for name in params:
         blob[f"opt.m.{name}"] = state.m[name]
         blob[f"opt.v.{name}"] = state.v[name]
     blob["opt.step"] = np.array(float(state.step_count))
     blob["opt.epoch"] = np.array(float(epoch))
+    s = rng.bit_generator.state
+    blob["opt.rng"] = np.array(
+        [(s["state"][k] >> (32 * i)) & 0xFFFFFFFF
+         for k in ("state", "inc") for i in range(4)]
+        + [s["has_uint32"], s["uinteger"]], dtype=np.float64)
     return blob
 
 
-def _save_training_state(path: Path, params, state: AdamState, epoch: int,
-                         rng: np.random.Generator, config: TrainConfig):
-    save_params(path, _training_blob(params, state, epoch))
-    sidecar = {"rng_state": rng.bit_generator.state, "epoch": epoch}
-    with open(path.with_suffix(".rng.json"), "w") as fh:
-        json.dump(sidecar, fh)
-    config.save(path.with_suffix(".config"))
+def _rng_from_record(path: Path, words: np.ndarray) -> np.random.Generator:
+    """The generator whose state `_training_blob` stored as `opt.rng`."""
+    bad = ~((words >= 0) & (words < 2.0 ** 32) & (words == np.floor(words)))
+    if bad.any():
+        raise CheckpointError(f"{path}: record 'opt.rng' holds {words[bad][0]}, "
+                              f"not a 32-bit word of a PCG64 state; cannot resume")
+    w = [int(x) for x in words]
+    state, inc = (sum(v << 32 * i for i, v in enumerate(w[at:at + 4])) for at in (0, 4))
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": w[8], "uinteger": w[9]}
+    return rng
 
 
 def model_params(blob: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -295,7 +336,8 @@ def _load_training_state(path: Path, fresh, lr: float, what: str):
     must match those of the freshly initialised `fresh` (see
     check_records, which names `what`)."""
     blob = load_params(path)
-    layout = _training_blob(fresh, AdamState(fresh, lr), 0)
+    layout = _training_blob(fresh, AdamState(fresh, lr), 0,
+                            np.random.default_rng(0))
     check_records(path, blob, {k: v.shape for k, v in layout.items()},
                   f"{what}'s training state")
     params = model_params(blob)
@@ -305,26 +347,23 @@ def _load_training_state(path: Path, fresh, lr: float, what: str):
         state.v[name] = blob[f"opt.v.{name}"]
     state.step_count = int(blob["opt.step"].item())
     epoch = int(blob["opt.epoch"].item())
-    rng_path = path.with_suffix(".rng.json")
-    with open(rng_path) as fh:
+    return params, state, epoch, _rng_from_record(path, blob["opt.rng"])
+
+
+def _log_before(path: Path, step: int) -> list[str]:
+    """The lines of the step log at path whose step is below `step`; a line
+    cut short by a kill, which comes after every checkpointed step, is
+    dropped with the others."""
+    if not path.exists():
+        return []
+    kept = []
+    for line in path.read_bytes().splitlines(keepends=True):
         try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:  # a write cut short
-            raise ValueError(f"{rng_path}: not valid JSON: {exc}; cannot resume") from None
-    if not isinstance(sidecar, dict):
-        raise ValueError(f'{rng_path}: needs an object with "epoch" and "rng_state"')
-    if sidecar.get("epoch") != epoch:
-        # a save cut between the two writes: the RNG state is an older epoch's
-        raise ValueError(f"{rng_path}: RNG state of epoch {sidecar.get('epoch')} "
-                         f"but {path} holds epoch {epoch}; cannot resume")
-    rng = np.random.default_rng()
-    try:
-        rng.bit_generator.state = sidecar.get("rng_state")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f'{rng_path}: "rng_state" is not a '
-                         f"{type(rng.bit_generator).__name__} state "
-                         f"({type(exc).__name__}: {exc}); cannot resume") from None
-    return params, state, epoch, rng
+            if json.loads(line)["step"] < step:
+                kept.append(line.decode())
+        except (ValueError, KeyError, TypeError):
+            pass
+    return kept
 
 
 def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
@@ -363,8 +402,11 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
 
     Diffusion stages require the frozen auto-encoder checkpoint; the
     upsampler additionally requires the base checkpoint to exist (pipeline
-    ordering). Checkpoints are written every config.checkpoint_interval
-    epochs and capture optimizer and RNG state for bitwise resumption.
+    ordering). `<stage>.config` is written once, before the first step.
+    Checkpoints are written every config.checkpoint_interval epochs, each
+    in one commit point, and capture optimizer and RNG state for bitwise
+    resumption. The step log `<stage>.log.jsonl` starts empty, or on
+    resume with the lines of the checkpointed steps.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -381,8 +423,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
             params = train_autoencoder(
                 images, epochs=config.epochs_ae, lr=config.lr, d=config.d,
                 seed=config.seed, log_fn=log_fn)
-            save_params(ckpt, params)
             config.save(ckpt.with_suffix(".config"))
+            save_params(ckpt, params)
             return ckpt
 
         ae_ckpt = _stage_ckpt(out_dir, "autoencoder")
@@ -401,6 +443,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
         }[stage]
         schedule = config.schedule(stage)
         data = prepare(dataset_dir, config, ae_params)
+        config.save(ckpt.with_suffix(".config"))
 
         params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
         if resume and ckpt.exists():
@@ -412,6 +455,9 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
             start_epoch = 0
 
         step = state.step_count  # global: a resumed run continues the count
+        kept = _log_before(log_path, step) if step else []
+        with replaced(log_path, "w") as logfh:
+            logfh.writelines(kept)
         with open(log_path, "a") as logfh:
             for epoch in range(start_epoch, epochs):
                 order = rng.permutation(len(data))
@@ -424,7 +470,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                         log_fn(epoch, log.L_theta)
                     step += 1
                 if (epoch + 1) % config.checkpoint_interval == 0 or epoch + 1 == epochs:
-                    _save_training_state(ckpt, params, state, epoch + 1, rng, config)
+                    logfh.flush()  # a kill after the save keeps its steps' lines
+                    save_params(ckpt, _training_blob(params, state, epoch + 1, rng))
         if not ckpt.exists():
-            _save_training_state(ckpt, params, state, epochs, rng, config)
+            save_params(ckpt, _training_blob(params, state, epochs, rng))
     return ckpt

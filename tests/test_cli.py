@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import shutil
 import struct
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from buildiff import checkpoint
 from buildiff.checkpoint import load_params, save_params
 from buildiff.cli import _load_config, build_parser, main
 from buildiff.conditioner import SilhouetteImage, save_pgm
@@ -132,8 +134,9 @@ class TestTrainOrdering:
         (lambda m: m["entries"].__setitem__(0, "b00000"), "entry 0 needs a string 'id'"),
         (lambda m: m.pop("entries"), 'needs an "entries" list'),
         (None, "not valid JSON"),
+        (b"\xff", "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["no-split", "cloud-not-string", "entry-not-object", "no-entries",
-            "invalid-json"])
+            "invalid-json", "not-utf-8"])
     def test_bad_manifest_exits_3_naming_it(self, dataset, tmp_path, capsys,
                                             edit, want):
         data = tmp_path / "data"
@@ -141,6 +144,8 @@ class TestTrainOrdering:
         path = data / "manifest.json"
         if edit is None:
             path.write_text(path.read_text()[:-2])
+        elif isinstance(edit, bytes):
+            path.write_bytes(edit + path.read_bytes())
         else:
             manifest = json.loads(path.read_text())
             edit(manifest)
@@ -151,57 +156,108 @@ class TestTrainOrdering:
         assert str(path) in err and want in err and "Traceback" not in err
 
 
-class TestResume:
-    def test_resume_after_torn_save_exits_3(self, dataset, tmp_path, capsys):
-        """A crash between the .bdif and the .rng.json write leaves an
-        older RNG state beside a newer checkpoint; --resume names both
-        epochs instead of continuing off the bitwise path."""
+    def test_locked_directory_exits_3_naming_the_lock(self, dataset, tmp_path,
+                                                     capsys):
         ck = tmp_path / "ck"
+        ck.mkdir()
+        lock = ck / ".lock"
+        lock.write_text(f"{os.getpid()}\n")
+        assert run(["train-ae", "--dataset", str(dataset), "--out", str(ck)]
+                   + TINY_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {lock}: checkpoint directory is locked by pid "
+                       f"{os.getpid()}, which is still running\n")
+        assert lock.read_text() == f"{os.getpid()}\n"
+        assert list(ck.iterdir()) == [lock]
 
-        def train_base(epochs, *extra):
+
+class TestResume:
+    def test_resume_after_interrupted_save_is_bitwise(self, dataset, tmp_path,
+                                                      capsys, monkeypatch):
+        """A save that raises part-way through the epoch-2 checkpoint leaves
+        the epoch-1 base.bdif byte for byte and no temp file; --resume then
+        ends with the checkpoint (opt.rng included) and the log of a
+        straight run."""
+        def train_base(ck, *extra):
             return run(["train-base", "--dataset", str(dataset), "--out", str(ck),
                         "--seed", "0"] + TINY_TRAIN
-                       + ["--set", f"epochs_base={epochs}", *extra])
+                       + ["--set", "epochs_base=3", *extra])
 
-        assert run(["train-ae", "--dataset", str(dataset), "--out", str(ck),
-                    "--seed", "0"] + TINY_TRAIN) == 0
-        assert train_base(1) == 0
-        sidecar = ck / "base.rng.json"
-        epoch_1 = sidecar.read_bytes()
-        assert train_base(2, "--resume") == 0
-        sidecar.write_bytes(epoch_1)
+        for ck in (tmp_path / "a", tmp_path / "b"):
+            assert run(["train-ae", "--dataset", str(dataset), "--out", str(ck),
+                        "--seed", "0"] + TINY_TRAIN) == 0
+        assert train_base(tmp_path / "a") == 0
+
+        ck = tmp_path / "b"
+        saves, epoch_1 = 0, []
+
+        class CutShort:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(path, mode):
+            nonlocal saves
+            fh = open(path, mode)
+            if Path(path).name == "base.bdif.tmp":
+                saves += 1
+                if saves == 2:
+                    epoch_1.append((ck / "base.bdif").read_bytes())
+                    return CutShort(fh)
+            return fh
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
         capsys.readouterr()
-        assert train_base(3, "--resume") == 3
-        err = capsys.readouterr().err
-        assert str(sidecar) in err and str(ck / "base.bdif") in err
-        assert "epoch 1" in err and "epoch 2" in err
+        assert train_base(ck) == 3
+        assert "no space left on device" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert (ck / "base.bdif").read_bytes() == epoch_1[0]
+        assert load_params(ck / "base.bdif")["opt.epoch"] == 1.0
+        assert not list(ck.glob("*.tmp")) and not (ck / ".lock").exists()
 
-    @pytest.mark.parametrize("edit,want", [
-        (lambda text: text[:len(text) // 2], "not valid JSON"),
-        (lambda text: json.dumps({**json.loads(text), "rng_state": {"bit_generator": "PCG64"}}),
-         '"rng_state" is not a PCG64 state (KeyError'),
-        (lambda text: "[1]", '"epoch" and "rng_state"'),
-    ], ids=["cut-mid-write", "rng-state-without-keys", "not-an-object"])
-    def test_broken_rng_sidecar_exits_3_naming_it(self, dataset, tmp_path, capsys,
-                                                  edit, want):
+        assert train_base(ck, "--resume") == 0
+        straight = load_params(tmp_path / "a" / "base.bdif")
+        resumed = load_params(ck / "base.bdif")
+        assert list(resumed) == list(straight) and "opt.rng" in resumed
+        for name, value in straight.items():
+            assert resumed[name].tobytes() == value.tobytes(), name
+        assert ((ck / "base.log.jsonl").read_bytes()
+                == (tmp_path / "a" / "base.log.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("word", [0.5, -1.0], ids=["fraction", "negative"])
+    def test_bad_rng_record_exits_3_naming_it(self, dataset, checkpoints,
+                                              tmp_path, capsys, word):
         ck = tmp_path / "ck"
-        argv = ["--dataset", str(dataset), "--out", str(ck), "--seed", "0"] + TINY_TRAIN
-        assert run(["train-ae"] + argv) == 0
-        assert run(["train-base"] + argv) == 0
-        sidecar = ck / "base.rng.json"
-        sidecar.write_text(edit(sidecar.read_text()))
+        shutil.copytree(checkpoints, ck)
+        path = ck / "base.bdif"
+        blob = load_params(path)
+        blob["opt.rng"][2] = word
+        save_params(path, blob)
         capsys.readouterr()
-        assert run(["train-base"] + argv + ["--set", "epochs_base=2", "--resume"]) == 3
+        assert run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN
+                   + ["--set", "epochs_base=2", "--resume"]) == 3
         err = capsys.readouterr().err
-        assert str(sidecar) in err and want in err and "Traceback" not in err
+        assert err == (f"error: {path}: record 'opt.rng' holds {word}, not a "
+                       f"32-bit word of a PCG64 state; cannot resume\n")
 
-
-    @pytest.mark.parametrize("edit", ["missing", "misshapen", "joined-decoder-layer"])
+    @pytest.mark.parametrize("edit", ["missing", "misshapen", "joined-decoder-layer",
+                                      "no-rng-record"])
     def test_bad_record_exits_3_naming_it(self, dataset, checkpoints, tmp_path,
                                           capsys, edit):
         """--resume checks the model and the "opt." records of the training
         checkpoint before it trains; a checkpoint from before the first
-        decoder layer was split names the first missing block."""
+        decoder layer was split names the first missing block, and one
+        from before the RNG state moved into it names 'opt.rng'."""
         ck = tmp_path / "ck"
         shutil.copytree(checkpoints, ck)
         path = ck / "base.bdif"
@@ -209,6 +265,9 @@ class TestResume:
         if edit == "joined-decoder-layer":
             blob = joined_decoder_layer(blob)
             want = ["no record 'dec.w1h'"]
+        elif edit == "no-rng-record":
+            del blob["opt.rng"]
+            want = ["no record 'opt.rng'", "(10,)"]
         else:
             shape = edit_record(blob, "opt.m.dec.w2", edit)
             want = ["'opt.m.dec.w2'", str(shape)]
@@ -247,6 +306,27 @@ class TestConfig:
         assert err.startswith(f"error: {source}: ")
         assert re.search(rf"\b{key}\b", err)
 
+    @pytest.mark.parametrize("which", ["--config", "base.config"])
+    def test_non_utf8_config_exits_3_naming_it(self, dataset, checkpoints,
+                                               tmp_path, capsys, which):
+        if which == "--config":
+            path = tmp_path / "bad.cfg"
+            argv = ["train-ae", "--dataset", str(dataset),
+                    "--out", str(tmp_path / "ck"), "--config", str(path)]
+        else:
+            ck = tmp_path / "ck"
+            shutil.copytree(checkpoints, ck)
+            path = ck / "base.config"
+            img = next((dataset / "silhouettes").glob("*.pgm"))
+            argv = ["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(tmp_path / "o.ply")]
+        path.write_bytes(b"T=10\n\xffK=4\n")
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: 'utf-8' codec "
+                              f"can't decode byte 0xff")
+        assert not (tmp_path / "o.ply").exists()
+
     def test_parse_order(self, tmp_path):
         """The preset, then --config, then --set, then --seed."""
         f = tmp_path / "f.cfg"
@@ -279,8 +359,9 @@ class TestSample:
         b"P5\n\n255\n" + bytes(4), b"P5\n2 2\n255\n" + bytes(3),
         b"P5\n2 2\n0\n" + bytes(4), b"P5\n2 2\n256\n" + bytes(8),
         b"P5\n2 2\n7\n\x00\x07\x08\x00",
+        b"P5\n12 12\n255\n" + bytes(144), b"P5\n24 16\n255\n" + bytes(384),
     ], ids=["empty-dimensions", "short-payload", "maxval-0", "maxval-256",
-            "pixel-above-maxval"])
+            "pixel-above-maxval", "side-not-multiple-of-8", "not-square"])
     def test_malformed_pgm_exits_3_naming_it(self, checkpoints, tmp_path,
                                              capsys, blob):
         bad = tmp_path / "bad.pgm"
@@ -367,6 +448,25 @@ class TestSample:
                     str(img), "--out", str(tmp_path / "o.ply")]) == 3
         err = capsys.readouterr().err
         assert "'enc.proj' has shape (128, 8)" in err and "24x24" in err
+
+    def test_checkpoint_without_rng_record_samples(self, dataset, checkpoints,
+                                                   tmp_path):
+        """Training checkpoints written before the RNG state moved into them
+        have no opt.rng; sample reads only the model records."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        for stage in ("base", "upsampler"):
+            blob = load_params(ck / f"{stage}.bdif")
+            del blob["opt.rng"]
+            save_params(ck / f"{stage}.bdif", blob)
+        outs = []
+        for d in (checkpoints, ck):
+            out = tmp_path / f"{d.name}.ply"
+            assert run(["sample", "--checkpoints", str(d), "--image", str(img),
+                        "--out", str(out), "--seed", "4", "--high-res"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_config_with_retired_keys_samples(self, dataset, checkpoints,
                                               tmp_path):

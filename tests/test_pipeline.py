@@ -1,11 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import buildiff.pipeline as P
 from buildiff import tensor as T
-from buildiff.checkpoint import load_params
+from buildiff.checkpoint import CheckpointError, load_params
 from buildiff.conditioner import init_ae_params
 from buildiff.datagen import build_dataset
 from buildiff.denoiser import (DenoiserConfig, denoise_graph,
@@ -432,6 +435,74 @@ class TestRunTraining:
         assert logged(tmp_path / "b") == logged(tmp_path / "a")
         assert [s for _, s in logged(tmp_path / "a")] == [0, 1, 2, 3]
 
+    def test_fresh_run_truncates_log(self, tiny_dataset, tmp_path):
+        cfg = tiny_train_config()
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path)
+        run_training(tiny_dataset, cfg, "base", tmp_path)
+        first = (tmp_path / "base.log.jsonl").read_bytes()
+        run_training(tiny_dataset, cfg, "base", tmp_path)
+        assert (tmp_path / "base.log.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("killed_at", [2, 4])
+    def test_run_killed_mid_epoch_resumes_to_straight_log(
+            self, tiny_dataset, tmp_path, monkeypatch, killed_at):
+        """A run killed at its n-th step (4 steps, 2 per epoch, a checkpoint
+        after each epoch), then resumed, leaves the log and checkpoint of a
+        straight run: the lines logged after the last checkpoint are
+        dropped, and with no checkpoint yet the run starts afresh."""
+        cfg = tiny_train_config()
+        for d in ("a", "b"):
+            run_training(tiny_dataset, cfg, "autoencoder", tmp_path / d)
+        run_training(tiny_dataset, cfg, "base", tmp_path / "a")
+
+        calls = 0
+        step = P.train_step
+
+        def killed(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == killed_at:
+                raise KeyboardInterrupt
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(P, "train_step", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_training(tiny_dataset, cfg, "base", tmp_path / "b")
+        monkeypatch.undo()
+        b = tmp_path / "b"
+        assert (b / "base.config").read_bytes() == (tmp_path / "a" / "base.config").read_bytes()
+        assert (b / "base.bdif").exists() == (killed_at > 2)
+        assert len((b / "base.log.jsonl").read_text().splitlines()) == killed_at - 1
+        run_training(tiny_dataset, cfg, "base", b, resume=True)
+        for name in ("base.log.jsonl", "base.bdif", "base.config"):
+            assert (b / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+
+    def test_rng_record_round_trips(self):
+        """opt.rng holds a PCG64 state exactly, a buffered 32-bit half
+        included: the rebuilt generator draws bitwise what the saved one
+        would have."""
+        params = tiny_params()
+        state = AdamState(params, lr=1e-3)
+        rng = np.random.default_rng(123)
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)  # leaves has_uint32=1
+        assert rng.bit_generator.state["has_uint32"] == 1
+        words = P._training_blob(params, state, 0, rng)["opt.rng"]
+        assert words.shape == (10,)
+        back = P._rng_from_record("p.bdif", words)
+        assert back.bit_generator.state == rng.bit_generator.state
+        for draw in (lambda g: g.integers(0, 2 ** 32, size=5, dtype=np.uint32),
+                     lambda g: g.standard_normal(7), lambda g: g.permutation(9)):
+            assert draw(back).tobytes() == draw(rng).tobytes()
+
+    @pytest.mark.parametrize("word", [0.5, -1.0, 2.0 ** 32, np.nan])
+    def test_rng_record_word_not_32_bit_raises(self, word):
+        words = P._training_blob({}, AdamState({}, lr=1e-3), 0,
+                                 np.random.default_rng(0))["opt.rng"]
+        words[3] = word
+        with pytest.raises(CheckpointError,
+                           match=rf"p\.bdif: record 'opt\.rng' holds {word}, not a 32-bit"):
+            P._rng_from_record("p.bdif", words)
+
     def test_prepare_data_triples(self, tiny_dataset):
         """Both stages' data are train_step triples over the same buildings:
         the base stage has no fixed rows, and the upsampler's fixed rows
@@ -462,8 +533,38 @@ class TestRunTraining:
         out = tmp_path / "locked"
         out.mkdir()
         (out / ".lock").touch()
-        with pytest.raises(RuntimeError, match="locked"):
+        with pytest.raises(FileExistsError, match="locked"):
             run_training(tiny_dataset, tiny_train_config(), "autoencoder", out)
+
+    @pytest.mark.parametrize("owner", ["running", "exited", "no-pid"])
+    def test_lock_names_its_owner_and_stays(self, tiny_dataset, tmp_path, owner):
+        """A locked directory is refused with the owner's pid and whether it
+        still runs; the lock is never deleted, even a dead owner's."""
+        if owner == "running":
+            pid, want = os.getpid(), f"pid {os.getpid()}, which is still running"
+        elif owner == "exited":
+            done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+            pid = int(done.stdout)
+            want = f"pid {pid}, which no longer runs"
+        else:
+            pid, want = "", "a run that wrote no pid"
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".lock").write_text(f"{pid}\n")
+        with pytest.raises(FileExistsError) as exc:
+            run_training(tiny_dataset, tiny_train_config(), "autoencoder", out)
+        assert str(exc.value).startswith(f"{out / '.lock'}: checkpoint directory "
+                                         f"is locked by {want}")
+        assert (out / ".lock").read_text() == f"{pid}\n"
+        assert list(out.iterdir()) == [out / ".lock"]
+
+    def test_lock_holds_owner_pid(self, tiny_dataset, tmp_path):
+        out = tmp_path / "ok"
+        seen = []
+        run_training(tiny_dataset, tiny_train_config(), "autoencoder", out,
+                     log_fn=lambda *_: seen.append((out / ".lock").read_text()))
+        assert seen and set(seen) == {f"{os.getpid()}\n"}
 
     def test_lock_released_after_success(self, tiny_dataset, tmp_path):
         out = tmp_path / "ok"

@@ -57,3 +57,10 @@ def test_tiny_cli_run_is_reproducible(tmp_path):
                  "sample.ply", "sample_high_res.ply", "trace/trace_00000.ply",
                  "sample_high_res.bpc", "sample_high_res.xyz", "report.jsonl"):
         assert path in trees[0], path
+    # one file of training state per stage, its config and its step log; no
+    # RNG sidecar, temp file or lock is left behind
+    assert {p for p in trees[0] if p.startswith("ckpt/")} == {
+        "ckpt/autoencoder.bdif", "ckpt/autoencoder.config",
+        "ckpt/base.bdif", "ckpt/base.config", "ckpt/base.log.jsonl",
+        "ckpt/upsampler.bdif", "ckpt/upsampler.config",
+        "ckpt/upsampler.log.jsonl"}
