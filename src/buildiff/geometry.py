@@ -170,29 +170,40 @@ def _xyz_rows(path, source, max_rows=None) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
+def _ply_vertex_count(path, fh) -> int:
+    """The vertex count of the PLY header read from fh, which is left at
+    the first row after `end_header`."""
+    if fh.readline().strip() != "ply":
+        raise IOError(f"{path}: not a PLY file")
+    n = None
+    while True:
+        line = fh.readline()
+        if not line:
+            raise IOError(f"{path}: truncated PLY header")
+        line = line.strip()
+        if line.startswith("element vertex"):
+            try:
+                n = int(line.split()[-1])
+            except ValueError:
+                n = -1  # reported below
+            if not 0 <= n <= np.iinfo(np.int64).max:
+                raise IOError(f"{path}: bad vertex count in {line!r}")
+        elif line == "end_header":
+            break
+    if n is None:
+        raise IOError(f"{path}: no vertex element")
+    return n
+
+
 def load_ply(path) -> PointCloud:
-    """Read an ASCII PLY's vertex rows. A malformed header or row, fewer
-    rows than the header promises or a nan or inf coordinate raises IOError
-    naming the path."""
+    """Read an ASCII PLY's vertex rows. A malformed header or row, bytes
+    that are not UTF-8, fewer rows than the header promises or a nan or
+    inf coordinate raises IOError naming the path."""
     with open(path) as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise IOError(f"{path}: not a PLY file")
-        n = None
-        while True:
-            line = fh.readline()
-            if not line:
-                raise IOError(f"{path}: truncated PLY header")
-            line = line.strip()
-            if line.startswith("element vertex"):
-                try:
-                    n = int(line.split()[-1])
-                except ValueError:
-                    raise IOError(f"{path}: bad vertex count in {line!r}") from None
-            elif line == "end_header":
-                break
-        if n is None:
-            raise IOError(f"{path}: no vertex element")
+        try:
+            n = _ply_vertex_count(path, fh)
+        except UnicodeDecodeError as exc:
+            raise IOError(f"{path}: {exc}") from None
         pts = _xyz_rows(path, fh, max_rows=n)
     if len(pts) != n:
         raise IOError(f"{path}: PLY header promises {n} vertex rows, "

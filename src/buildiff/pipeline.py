@@ -22,7 +22,7 @@ from .diffusion import forward_noise, reconstruct_x0
 from .datagen import DatasetManifest
 from .geometry import (PointCloud, farthest_point_sample, load_bpc,
                        nearest_indices)
-from .optim import AdamState, backward_and_step
+from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, lambda_weight, linear_beta_schedule
 
 # written into .config files by earlier versions, read by nothing: skipped
@@ -188,43 +188,51 @@ def train_step(params, state: AdamState,
     """One optimizer step over a batch of (x0 (N,3), fixed (K,3), embedding)
     triples, with per-sample classifier-free drop; see sample_losses. The
     upsampler passes its low-res cloud as `fixed`, the base stage a (0, 3)
-    block such as x0[:0]."""
+    block such as x0[:0].
+
+    The loss is the batch mean of L_eps + rho L_reg. All draws (t, eps,
+    drop) are made first, in batch order; then each sample, last to first,
+    is recorded on a tape of its own and walked backward at once from
+    L_eps / B + (rho / B) L_reg, carrying the parameters' gradient sums
+    from walk to walk. Only one sample's graph is alive at a time, and
+    every gradient is bit for bit that of one tape over the whole batch
+    walked in reverse. A non-finite loss raises before Adam moves."""
     if not batch:
         raise ValueError("empty batch")
-    ts, lams, drops = [], [], []
-    with T.Tape() as tape:
-        eps_terms, reg_terms = [], []
-        for x0, fixed, emb in batch:
-            N, K = x0.shape[0], fixed.shape[0]
-            if N <= K:
-                raise ValueError(f"N={N} must exceed K={K}")
-            t = int(rng.integers(1, schedule.T + 1))
-            eps = rng.standard_normal(x0.shape)
-            dropped = bool(rng.random() < config.drop_prob)
+    draws = []
+    for x0, fixed, emb in batch:
+        N, K = x0.shape[0], fixed.shape[0]
+        if N <= K:
+            raise ValueError(f"N={N} must exceed K={K}")
+        t = int(rng.integers(1, schedule.T + 1))
+        eps = rng.standard_normal(x0.shape)
+        draws.append((t, eps, bool(rng.random() < config.drop_prob)))
+    # the seeds a walk from the batch loss gives each sample's two losses
+    inv = 1.0 / len(batch)
+    rho_inv = config.rho * inv
+    wrt = list(params.values())
+    sums: dict[int, np.ndarray] = {}
+    eps_terms, reg_terms = [None] * len(batch), [None] * len(batch)
+    for b in reversed(range(len(batch))):
+        (x0, fixed, emb), (t, eps, dropped) = batch[b], draws[b]
+        with T.Tape() as tape:
             L_eps, L_reg = sample_losses(params, x0, fixed, t, eps,
                                          None if dropped else emb, schedule)
-            eps_terms.append(L_eps)
-            reg_terms.append(L_reg)
-            ts.append(t)
-            lams.append(lambda_weight(t, schedule.T))
-            drops.append(dropped)
-        inv = 1.0 / len(batch)
-        L_eps = T.scale(_sum(eps_terms), inv)
-        L_reg = T.scale(_sum(reg_terms), inv)
-        loss = T.add(L_eps, T.scale(L_reg, config.rho))
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError("non-finite training loss")
-        backward_and_step(state, params, tape, loss)
-    return StepLog(epoch=epoch, step=step, L_eps=L_eps.item(),
-                   L_reg=L_reg.item(), L_theta=loss.item(),
-                   t_drawn=ts, lambda_drawn=lams, dropped=drops)
-
-
-def _sum(terms: list[np.ndarray]) -> np.ndarray:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = T.add(acc, t)
-    return acc
+            seed = T.add(T.scale(L_eps, inv), T.scale(L_reg, rho_inv))
+        grads = tape.backward(seed, wrt, sums)
+        eps_terms[b], reg_terms[b] = L_eps, L_reg
+    # summed in batch order, as the one-tape graph summed them
+    L_eps = sum(eps_terms[1:], eps_terms[0]) * inv
+    L_reg = sum(reg_terms[1:], reg_terms[0]) * inv
+    loss = L_eps + L_reg * config.rho
+    if not np.isfinite(loss):
+        raise FloatingPointError("non-finite training loss")
+    adam_step(state, params, grads)
+    return StepLog(epoch=epoch, step=step, L_eps=float(L_eps),
+                   L_reg=float(L_reg), L_theta=float(loss),
+                   t_drawn=[t for t, _, _ in draws],
+                   lambda_drawn=[lambda_weight(t, schedule.T) for t, _, _ in draws],
+                   dropped=[d for _, _, d in draws])
 
 
 # ------------------------------------------------------------- stage runner

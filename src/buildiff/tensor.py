@@ -56,15 +56,23 @@ class Tape:
                backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.entries.append(_TapeEntry(list(inputs), output, backward_fn))
 
-    def backward(self, loss: np.ndarray,
-                 wrt: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def backward(self, loss: np.ndarray, wrt: Sequence[np.ndarray],
+                 sums: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
         """Gradient of loss with respect to each array in wrt (one that no
         op on this tape produced), in that order; zeros where the loss
         does not reach. Gradients are keyed by id(): the tape holds every
-        array it names, so no id is reused while it runs."""
+        array it names, so no id is reused while it runs.
+
+        `sums`, if given, maps the id() of arrays of wrt to their partial
+        gradients from walks over earlier tapes, so those arrays must stay
+        alive between the walks. This walk adds to the sums as one walk
+        over all the tapes, the last recorded first, would, and stores the
+        new sums back. An array the loss does not reach keeps its sum, or
+        stays absent, and gets that sum, or zeros, in the returned list."""
         if loss.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
+        grads: dict[int, np.ndarray] = dict(sums or ())
+        grads[id(loss)] = np.ones_like(loss)
         for entry in reversed(self.entries):
             gout = grads.pop(id(entry.output), None)
             if gout is None:
@@ -78,6 +86,8 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
+        if sums is not None:
+            sums.update((id(t), grads[id(t)]) for t in wrt if id(t) in grads)
         return [grads[id(t)] if id(t) in grads else np.zeros_like(t)
                 for t in wrt]
 
@@ -248,32 +258,3 @@ def reshape(a: np.ndarray, shape) -> np.ndarray:
     shape = tuple(shape)
     return _make([a], a.reshape(shape), lambda g: (g.reshape(a.shape),))
 
-
-# ---------------------------------------------------------------- oracle
-
-
-def finite_diff_grad(f: Callable[[list[np.ndarray]], float],
-                     params: list[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
-    """Central-difference gradient of a scalar function, element by element.
-
-    Test oracle only; f must be deterministic in the params, which are
-    perturbed in place and restored.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        # index p itself: p.reshape(-1) is a copy when p is not C-contiguous
-        for i in np.ndindex(p.shape):
-            orig = p[i]
-            p[i] = orig + step
-            fp = f(params)
-            p[i] = orig - step
-            fm = f(params)
-            p[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise ValueError("finite_diff_grad: non-finite function value")
-            g[i] = (fp - fm) / (2.0 * step)
-        grads.append(g)
-    return grads

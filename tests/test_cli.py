@@ -705,6 +705,24 @@ class TestExport:
         assert f"{src}: points contain non-finite coordinates" in err
         assert not (tmp_path / "o.ply").exists()
 
+    @pytest.mark.parametrize("raw,want", [
+        (b"ply\n\xff\n" + PLY_HEADER.format(n=1)[4:].encode() + b"1 2 3\n",
+         "can't decode byte 0xff"),
+        (PLY_HEADER.format(n=1).encode() + b"1 2 \xff3\n",
+         "can't decode byte 0xff"),
+        (PLY_HEADER.format(n=-1).encode(), "bad vertex count"),
+        (PLY_HEADER.format(n=10 ** 30).encode(), "bad vertex count"),
+    ], ids=["non-utf8-header", "non-utf8-row", "negative-count", "huge-count"])
+    def test_undecodable_ply_exits_3_naming_it(self, tmp_path, capsys, raw,
+                                               want):
+        src = tmp_path / "bad.ply"
+        src.write_bytes(raw)
+        assert run(["export", "--input", str(src),
+                    "--out", str(tmp_path / "o.bpc")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and want in err
+        assert not (tmp_path / "o.bpc").exists()
+
     def test_unsupported_format_exits_3(self, tmp_path):
         src = tmp_path / "c.ply"
         save_ply(src, PointCloud(np.zeros((1, 3)) + 0.5))

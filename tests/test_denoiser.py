@@ -7,6 +7,7 @@ from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                make_model)
 from buildiff.diffusion import sample_base
 from buildiff.schedule import linear_beta_schedule
+from oracles import finite_diff_grad
 
 SMALL = DenoiserConfig(d=8, w1=6, w2=10, wd=12)
 
@@ -379,7 +380,7 @@ class TestGradients:
         with T.Tape() as tape:
             out = denoise_graph(p, xt, 3, z)
             ad = tape.backward(T.mse(out, target), [p[n] for n in names])
-        fd = T.finite_diff_grad(loss_fn, [p[n] for n in names], 1e-6)
+        fd = finite_diff_grad(loss_fn, [p[n] for n in names], 1e-6)
         # null_embed is unused when a condition is given: zeros on both sides
         for name, got, g in zip(names, ad, fd):
             scale = max(np.abs(g).max(), 1e-8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from buildiff import geometry as G
@@ -226,3 +226,57 @@ class TestFileFormats:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(IOError):
             G.load_bpc(path)
+
+
+# ------------------------------------------------------------ loader fuzzing
+
+LOADERS = {".ply": G.load_ply, ".xyz": G.load_xyz, ".bpc": G.load_bpc}
+SAVERS = {".ply": G.save_ply, ".xyz": G.save_xyz, ".bpc": G.save_bpc}
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# bytes that a text cloud is made of, so that fuzzed files get past the
+# first checks more often than random bytes do
+TEXT_BYTES = st.lists(st.sampled_from(
+    [b"ply\n", b"end_header\n", b"element vertex ", b"format ascii 1.0\n",
+     b"property float x\n", b"0", b"1", b"9", b"-", b"+", b".", b"e", b"nan",
+     b"inf", b" ", b"\t", b"\n", b"\r", b"#", b"\x00", b"\xff", b"\xc3\xa9",
+     b"\xe2\x80\xa8", b"99999999999999999999"]), max_size=40).map(b"".join)
+
+
+def _loads_or_names_path(path):
+    """The loader of path's suffix returns a PointCloud or raises an
+    IOError naming path, never another exception."""
+    try:
+        cloud = LOADERS[path.suffix](path)
+    except IOError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert isinstance(cloud, G.PointCloud)
+
+
+@FUZZ
+@given(suffix=st.sampled_from(sorted(LOADERS)),
+       data=st.one_of(st.binary(max_size=200), TEXT_BYTES))
+def test_arbitrary_bytes_load_or_raise_io_error(tmp_path, suffix, data):
+    path = tmp_path / f"fuzz{suffix}"
+    path.write_bytes(data)
+    _loads_or_names_path(path)
+
+
+@FUZZ
+@given(suffix=st.sampled_from(sorted(LOADERS)),
+       n=st.integers(0, 5),
+       flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                      max_size=4),
+       cut=st.integers(0, 10 ** 6))
+def test_edited_cloud_loads_or_raises_io_error(tmp_path, suffix, n, flips, cut):
+    """A valid file with bytes flipped and its tail cut off either loads or
+    raises IOError naming the file."""
+    path = tmp_path / f"fuzz{suffix}"
+    SAVERS[suffix](path, random_cloud(np.random.default_rng(n), n))
+    blob = bytearray(path.read_bytes())
+    for where, xor in flips:
+        if blob:
+            blob[where % len(blob)] ^= xor
+    path.write_bytes(bytes(blob[:len(blob) - cut % (len(blob) + 1)]))
+    _loads_or_names_path(path)

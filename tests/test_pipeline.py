@@ -16,11 +16,12 @@ from buildiff.denoiser import (DenoiserConfig, denoise_graph,
 from buildiff.diffusion import forward_noise, reconstruct_x0
 from buildiff.geometry import (PointCloud, farthest_point_sample,
                                nearest_indices)
-from buildiff.optim import AdamState
+from buildiff.optim import AdamState, adam_step
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, sample_losses,
                                toy_config, train_step)
 from buildiff.schedule import lambda_weight, linear_beta_schedule
+from oracles import finite_diff_grad
 
 SCH = linear_beta_schedule(100)
 
@@ -185,7 +186,7 @@ class TestFullLossGradient:
             ad = tape.backward(T.add(L_eps, T.scale(L_reg, rho)),
                                [params[n] for n in names])
 
-        fd = T.finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
+        fd = finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
         gmax = max(np.abs(g).max() for g in fd)
         for name, got, g in zip(names, ad, fd):
             assert np.abs(got - g).max() / gmax < 1e-6, name
@@ -256,7 +257,7 @@ class TestUpsamplerLosses:
             L_eps, L_reg = sample_losses(params, x0, fixed, t, eps, z, SCH)
             assert L_reg.item() > 0.0
             ad = tape.backward(T.add(L_eps, L_reg), [params[n] for n in names])
-        fd = T.finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
+        fd = finite_diff_grad(loss_value, [params[n] for n in names], 1e-6)
         gmax = max(np.abs(g).max() for g in fd)
         for name, got, g in zip(names, ad, fd):
             assert np.abs(got - g).max() / gmax < 1e-6, name
@@ -369,6 +370,126 @@ class TestTrainSteps:
         import json
         back = json.loads(log.to_json())
         assert back["epoch"] == 1 and back["dropped"] == [False]
+
+
+def one_tape_step(params, state, batch, config, schedule, rng):
+    """The reference train_step: every sample recorded on one tape, whose
+    batch loss is walked backward once before Adam steps."""
+    ts, lams, drops = [], [], []
+    with T.Tape() as tape:
+        eps_terms, reg_terms = [], []
+        for x0, fixed, emb in batch:
+            t = int(rng.integers(1, schedule.T + 1))
+            eps = rng.standard_normal(x0.shape)
+            dropped = bool(rng.random() < config.drop_prob)
+            L_eps, L_reg = sample_losses(params, x0, fixed, t, eps,
+                                         None if dropped else emb, schedule)
+            eps_terms.append(L_eps)
+            reg_terms.append(L_reg)
+            ts.append(t)
+            lams.append(lambda_weight(t, schedule.T))
+            drops.append(dropped)
+        inv = 1.0 / len(batch)
+        L_eps, L_reg = eps_terms[0], reg_terms[0]
+        for e, r in zip(eps_terms[1:], reg_terms[1:]):
+            L_eps, L_reg = T.add(L_eps, e), T.add(L_reg, r)
+        L_eps, L_reg = T.scale(L_eps, inv), T.scale(L_reg, inv)
+        loss = T.add(L_eps, T.scale(L_reg, config.rho))
+        grads = tape.backward(loss, list(params.values()))
+    adam_step(state, params, grads)
+    return StepLog(epoch=0, step=0, L_eps=L_eps.item(), L_reg=L_reg.item(),
+                   L_theta=loss.item(), t_drawn=ts, lambda_drawn=lams,
+                   dropped=drops)
+
+
+def step_batch(K, B, seed=30):
+    """B triples of 12-row clouds with K fixed rows (K=0: base stage)."""
+    rng = np.random.default_rng(seed)
+    x0s = [rng.normal(size=(12, 3)) * 0.5 for _ in range(B)]
+    return [(x0, x0[:K].copy(), embedding(i)) for i, x0 in enumerate(x0s)]
+
+
+class TestPerSampleWalks:
+    """train_step walks each sample's tape backward as soon as its losses
+    exist; Adam must see the gradients of the one-tape batch walk."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_bitwise_equal_to_one_tape_step(self, K, B):
+        cfg = TrainConfig(d=8, drop_prob=0.3, rho=0.01)
+        batch = step_batch(K, B)
+        params, ref_params = tiny_params(), tiny_params()
+        state, ref_state = AdamState(params, lr=1e-3), AdamState(ref_params, lr=1e-3)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        logs = []
+        for _ in range(12):
+            log = train_step(params, state, batch, cfg, SCH, rng)
+            assert log == one_tape_step(ref_params, ref_state, batch, cfg, SCH,
+                                        ref_rng)
+            for name in params:
+                for got, want in ((params, ref_params), (state.m, ref_state.m),
+                                  (state.v, ref_state.v)):
+                    assert np.array_equal(got[name], want[name]), name
+            logs.append(log)
+        assert state.step_count == ref_state.step_count == 12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the steps drew dropped and kept samples, at lambda 0 and lambda > 0
+        assert {d for log in logs for d in log.dropped} == {True, False}
+        assert {v > 0 for log in logs for v in log.lambda_drawn} == {True, False}
+        if B > 1:  # and some batch mixed each pair
+            assert any(len(set(log.dropped)) == 2 for log in logs)
+            assert any(len({v > 0 for v in log.lambda_drawn}) == 2 for log in logs)
+
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_one_walk_per_sample_over_its_own_entries(self, K, monkeypatch):
+        """A step of batch B makes B walks, last sample first, each over
+        one sample's graph and its seed L_eps / B + (rho / B) L_reg."""
+        walks = []
+        backward = T.Tape.backward
+
+        def counted(tape, *args):
+            walks.append(len(tape.entries))
+            return backward(tape, *args)
+
+        batch = step_batch(K, 3)
+        cfg = TrainConfig(d=8, drop_prob=0.5)
+        params = tiny_params()
+        monkeypatch.setattr(T.Tape, "backward", counted)
+        log = train_step(params, AdamState(params, lr=1e-3), batch, cfg, SCH,
+                         np.random.default_rng(32))
+        monkeypatch.undo()
+        want = []
+        for (x0, fixed, emb), t, dropped in zip(batch, log.t_drawn, log.dropped):
+            with T.Tape() as tape:
+                sample_losses(params, x0, fixed, t, np.zeros_like(x0),
+                              None if dropped else emb, SCH)
+            want.append(len(tape.entries) + 3)  # two scales and their add
+        assert walks == want[::-1]
+
+    def test_non_finite_loss_leaves_state_untouched(self, monkeypatch):
+        """A sample whose loss is infinite makes the step raise before Adam:
+        the params, both moments and the step count stay as they were."""
+        batch = step_batch(0, 3)
+        params = tiny_params()
+        state = AdamState(params, lr=1e-3)
+        train_step(params, state, batch, TrainConfig(d=8), SCH,
+                   np.random.default_rng(33))
+        before = [{k: d[k].copy() for k in params}
+                  for d in (params, state.m, state.v)]
+
+        def overflowing(params, x0, *args):
+            L_eps, L_reg = sample_losses(params, x0, *args)
+            return (T.scale(L_eps, np.inf) if x0 is batch[1][0] else L_eps), L_reg
+
+        monkeypatch.setattr(P, "sample_losses", overflowing)
+        # the walks run before the check, on infinite seeds
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            train_step(params, state, batch, TrainConfig(d=8), SCH,
+                       np.random.default_rng(34))
+        for snapshot, now in zip(before, (params, state.m, state.v)):
+            for k in params:
+                assert np.array_equal(now[k], snapshot[k]), k
+        assert state.step_count == 1
 
 
 @pytest.fixture(scope="module")

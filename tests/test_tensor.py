@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from buildiff import conditioner as C, tensor as T
 from buildiff.optim import (BETA1, BETA2, EPS, AdamState, adam_step,
                             backward_and_step)
+from oracles import finite_diff_grad
 
 
 def test_mse_identity_is_zero():
@@ -167,6 +168,40 @@ def test_backward_overwrites_grads():
     np.testing.assert_allclose(gw, [6.0])  # not accumulated to 12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_carried_sums_equal_one_walk_over_both_tapes(seed):
+    """Walking tape b, then tape a with the sums carried, gives bit for bit
+    the gradients of one tape recording a then b, walked from a + b: w is
+    read twice per graph, so carrying the sums differs from adding two
+    finished gradients. n is reached only from b, with a gradient of -0.0,
+    which walk a must not turn into +0.0."""
+    rng = np.random.default_rng(seed)
+    w, c = rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+    n = np.array([2.0])
+    xs = [rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-3, 4) for _ in range(4)]
+
+    def loss(x1, x2):
+        h = T.leaky_relu(T.add(T.linear(x1, w), c))
+        return T.mse(h, T.linear(x2, w))
+
+    def loss_b():
+        return T.add(loss(xs[2], xs[3]),
+                     T.reshape(T.mul(n, np.array([-0.0])), ()))
+
+    with T.Tape() as tape:
+        la = loss(xs[0], xs[1])
+        want = tape.backward(T.add(la, loss_b()), [w, c, n])
+    sums = {}
+    with T.Tape() as tape:
+        tape.backward(loss_b(), [w, c, n], sums)
+    with T.Tape() as tape:
+        got = tape.backward(loss(xs[0], xs[1]), [w, c, n], sums)
+    for g, h in zip(got, want):
+        assert g.tobytes() == h.tobytes()
+    assert np.signbit(got[2][0])
+    assert [sums[id(p)].tobytes() for p in (w, c, n)] == [g.tobytes() for g in got]
+
+
 def test_finite_diff_simple():
     w = np.array([3.0])
 
@@ -174,7 +209,7 @@ def test_finite_diff_simple():
         with T.Tape():
             return T.mse(params[0], np.array([0.0])).item()
 
-    (g,) = T.finite_diff_grad(f, [w], step=1e-6)
+    (g,) = finite_diff_grad(f, [w], step=1e-6)
     assert abs(g[0] - 6.0) < 1e-6
 
 
@@ -184,7 +219,7 @@ def test_finite_diff_sin():
     def f(params):
         return float(np.sin(params[0][0]))
 
-    (g,) = T.finite_diff_grad(f, [w], step=1e-5)
+    (g,) = finite_diff_grad(f, [w], step=1e-5)
     assert abs(g[0] - 1.0) < 1e-9
 
 
@@ -197,7 +232,7 @@ def test_finite_diff_non_contiguous_param():
     def f(params):
         return float((params[0] * wts).sum())
 
-    (g,) = T.finite_diff_grad(f, [p], step=1e-3)
+    (g,) = finite_diff_grad(f, [p], step=1e-3)
     np.testing.assert_allclose(g, wts, rtol=1e-9)
     assert np.array_equal(p, np.arange(6.0).reshape(2, 3).T)
 
@@ -205,7 +240,7 @@ def test_finite_diff_non_contiguous_param():
 def test_finite_diff_rejects_nonfinite():
     w = np.array([0.0])
     with pytest.raises(ValueError):
-        T.finite_diff_grad(lambda p: float("nan"), [w])
+        finite_diff_grad(lambda p: float("nan"), [w])
 
 
 def test_reduce_max_tie_goes_to_first_index():
@@ -301,7 +336,7 @@ def test_reduce_max_value_and_index_bitwise_by_column_kind(k):
 def _fd_check(loss_of, params):
     with T.Tape() as tape:
         ads = tape.backward(loss_of(params), params)
-    fd = T.finite_diff_grad(lambda ps: loss_of(ps).item(), params, step=1e-6)
+    fd = finite_diff_grad(lambda ps: loss_of(ps).item(), params, step=1e-6)
     for ad, g in zip(ads, fd, strict=True):
         assert np.abs(ad - g).max() / max(np.abs(g).max(), 1.0) < 1e-6
 
@@ -535,7 +570,7 @@ def test_backward_matches_finite_differences(seed):
     params = [a, b, w, c]
     loss, tape = _random_graph_loss(params)
     ads = tape.backward(loss, params)
-    fd = T.finite_diff_grad(lambda ps: _random_graph_loss(ps)[0].item(),
+    fd = finite_diff_grad(lambda ps: _random_graph_loss(ps)[0].item(),
                             params, step=1e-6)
     for ad, g in zip(ads, fd, strict=True):
         denom = max(np.abs(g).max(), 1.0)
