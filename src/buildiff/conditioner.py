@@ -98,7 +98,8 @@ def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
 # ------------------------------------------------------------ conv plumbing
 #
 # Feature maps are (H*W, C) arrays; convolution is an im2col gather (index
-# -1 marks zero padding) followed by a linear map with a (9*Cin, Cout) kernel.
+# -1 marks zero padding) followed by an affine map with a (9*Cin, Cout)
+# kernel: dense where a leaky ReLU follows, linear for the output layer.
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +126,11 @@ def _upsample_indices(h: int, w: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _conv(x: np.ndarray, wgt: np.ndarray, bias: np.ndarray,
-          h: int, w: int, stride: int = 1, dilation: int = 1) -> np.ndarray:
-    cin = x.shape[1]
+def _im2col(x: np.ndarray, h: int, w: int, stride: int = 1,
+            dilation: int = 1) -> np.ndarray:
+    """The (n_out, 9 Cin) patch rows of an (h*w, Cin) feature map."""
     cols = T.gather_rows(x, _conv_indices(h, w, stride, dilation))
-    n_out = cols.shape[0] // 9
-    cols = T.reshape(cols, (n_out, 9 * cin))
-    return T.linear(cols, wgt, bias)
+    return T.reshape(cols, (cols.shape[0] // 9, 9 * x.shape[1]))
 
 
 ENC_CHANNELS = (8, 16, 32)
@@ -169,13 +168,13 @@ def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, np.ndarray]:
 def _encode_graph(params, pixels: np.ndarray) -> np.ndarray:
     h = w = pixels.shape[0]
     x = pixels.reshape(h * w, 1)
-    x = T.leaky_relu(_conv(x, params["enc.c1"], params["enc.b1"], h, w, stride=2))
+    x = T.dense(_im2col(x, h, w, stride=2), params["enc.c1"], params["enc.b1"])
     h //= 2; w //= 2
-    x = T.leaky_relu(_conv(x, params["enc.c2"], params["enc.b2"], h, w, stride=2))
+    x = T.dense(_im2col(x, h, w, stride=2), params["enc.c2"], params["enc.b2"])
     h //= 2; w //= 2
-    x = T.leaky_relu(_conv(x, params["enc.c3"], params["enc.b3"], h, w, stride=2))
+    x = T.dense(_im2col(x, h, w, stride=2), params["enc.c3"], params["enc.b3"])
     h //= 2; w //= 2
-    x = T.leaky_relu(_conv(x, params["enc.c4"], params["enc.b4"], h, w, dilation=2))
+    x = T.dense(_im2col(x, h, w, dilation=2), params["enc.c4"], params["enc.b4"])
     flat = T.reshape(x, (1, h * w * x.shape[1]))
     return T.linear(flat, params["enc.proj"], params["enc.projb"])
 
@@ -183,17 +182,16 @@ def _encode_graph(params, pixels: np.ndarray) -> np.ndarray:
 def _decode_graph(params, z: np.ndarray, img_size: int) -> np.ndarray:
     c1, c2, c3 = ENC_CHANNELS
     h = w = img_size // 8
-    x = T.linear(z, params["dec.lin"], params["dec.linb"])
-    x = T.leaky_relu(T.reshape(x, (h * w, c3)))
+    x = T.reshape(T.dense(z, params["dec.lin"], params["dec.linb"]), (h * w, c3))
     x = T.gather_rows(x, _upsample_indices(h, w))
     h *= 2; w *= 2
-    x = T.leaky_relu(_conv(x, params["dec.c1"], params["dec.b1"], h, w))
+    x = T.dense(_im2col(x, h, w), params["dec.c1"], params["dec.b1"])
     x = T.gather_rows(x, _upsample_indices(h, w))
     h *= 2; w *= 2
-    x = T.leaky_relu(_conv(x, params["dec.c2"], params["dec.b2"], h, w))
+    x = T.dense(_im2col(x, h, w), params["dec.c2"], params["dec.b2"])
     x = T.gather_rows(x, _upsample_indices(h, w))
     h *= 2; w *= 2
-    x = _conv(x, params["dec.c3"], params["dec.b3"], h, w)
+    x = T.linear(_im2col(x, h, w), params["dec.c3"], params["dec.b3"])
     return T.sigmoid(T.reshape(x, (h, w)))
 
 

@@ -76,15 +76,15 @@ def fuse_conditions(params: dict[str, np.ndarray], z_I: np.ndarray | None,
     if z_I is not None and len(np.asarray(z_I).reshape(-1)) != d:
         raise ValueError(f"condition dim {len(z_I)} != d={d}")
     zt = sinusoidal_embedding(t, d).reshape(1, d)
-    zt = T.leaky_relu(T.linear(zt, params["time.w1"], params["time.b1"]))
-    zt = T.leaky_relu(T.linear(zt, params["time.w2"], params["time.b2"]))
+    zt = T.dense(zt, params["time.w1"], params["time.b1"])
+    zt = T.dense(zt, params["time.w2"], params["time.b2"])
     if z_I is None:
         cond = T.reshape(params["null_embed"], (1, d))
     else:
         cond = np.asarray(z_I, dtype=np.float64).reshape(1, d)
     both = T.concat_last_axis([cond, zt])
-    h = T.leaky_relu(T.linear(both, params["fuse.w1"], params["fuse.b1"]))
-    return T.leaky_relu(T.linear(h, params["fuse.w2"], params["fuse.b2"]))
+    h = T.dense(both, params["fuse.w1"], params["fuse.b1"])
+    return T.dense(h, params["fuse.w2"], params["fuse.b2"])
 
 
 def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
@@ -94,12 +94,14 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     (K = 0 for the base stage). Inside a Tape it records the graph for
     training; outside one, as sampling calls it, it keeps none.
 
-    The point MLP and the max-pool context read all N rows; only the
-    decoder is cut to rows K:, as nothing reads a noise estimate of a
-    fixed row. The first decoder layer is three parameters, one per input
-    block: dec.w1h (W_h, w2 rows) for the per-point features h, dec.w1c
-    (W_ctx, w2 rows) for the max-pool context and dec.w1f (W_f, d rows)
-    for the fused time/condition features. The context and fused features
+    Every hidden layer is one dense op, which keeps its output but not
+    its pre-activation. The point MLP and the max-pool context read all N
+    rows; only the decoder is cut to rows K:, a view taken by rows_from,
+    as nothing reads a noise estimate of a fixed row. The first decoder
+    layer is three parameters, one per input block: dec.w1h (W_h, w2
+    rows) for the per-point features h, dec.w1c (W_ctx, w2 rows) for the
+    max-pool context and dec.w1f (W_f, d rows) for the fused
+    time/condition features. The context and fused features
     are the same on every row, so they are computed once as (1, .) rows
     and enter that layer as one bias row:
     ctx@W_ctx + fused@W_f + dec.b1, added to h[K:]@W_h. With guided=True
@@ -107,27 +109,28 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     product h[K:]@W_h, to which each adds its own bias row (the same float
     operation as linear's bias, so each branch is bitwise a plain call);
     (eps_cond, eps_uncond) is returned. A plain call, as training makes,
-    takes h[K:]@W_h + bias in one linear, which keeps the bare product off
-    the tape.
+    takes h[K:]@W_h + bias and its activation in one dense, which keeps
+    the bare product and the pre-activation off the tape.
     """
     if xt.ndim != 2 or xt.shape[1] != 3:
         raise ValueError(f"xt must be (N,3), got {xt.shape}")
     if not 0 <= K < xt.shape[0]:
         raise ValueError(f"need 0 <= K < N={xt.shape[0]}, got K={K}")
-    h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
-    h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
+    h = T.dense(xt, params["point.w1"], params["point.b1"])
+    h = T.dense(h, params["point.w2"], params["point.b2"])
     w_h, w_f = params["dec.w1h"], params["dec.w1f"]
     ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
     ctx_bias = T.linear(ctx, params["dec.w1c"], params["dec.b1"])
-    noisy = T.gather_rows(h, np.arange(K, h.shape[0])) if K else h
+    noisy = T.rows_from(h, K) if K else h
 
     hw = T.linear(noisy, w_h) if guided else None
 
     def branch(cond):
         fused = fuse_conditions(params, cond, t)
         bias = T.linear(fused, w_f, ctx_bias)
-        out = T.leaky_relu(T.add(hw, bias) if guided else T.linear(noisy, w_h, bias))
-        out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
+        out = (T.leaky_relu(T.add(hw, bias)) if guided
+               else T.dense(noisy, w_h, bias))
+        out = T.dense(out, params["dec.w2"], params["dec.b2"])
         out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite activations in decoder output")

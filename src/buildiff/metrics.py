@@ -60,7 +60,9 @@ def _auction_assignment(cost: np.ndarray) -> np.ndarray:
     prices = np.zeros(n)
     s = np.empty(n)
     eps = span / 2.0
-    eps_final = span * 1e-4 / n  # keeps the mean-cost gap ~1e-4 * span
+    # the total-cost gap n * eps_final is at most 1e-4 * span, so the
+    # mean-cost gap is at most 1e-4 * span / n
+    eps_final = span * 1e-4 / n
     assign = np.full(n, -1, dtype=np.int64)
     while True:
         assign[:] = -1

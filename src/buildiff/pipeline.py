@@ -137,6 +137,11 @@ def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
     Nearest-neighbour indices are taken as constants for the backward pass
     (the standard Chamfer subgradient). When lambda(t) is 0 the Chamfer
     computation is skipped entirely and a constant zero is returned.
+
+    The k-d tree cannot rank infinite distances, so the two projected
+    clouds must span a box whose squared diagonal is finite; a NaN, an
+    infinity or a diverged coordinate such as 1e300 raises
+    FloatingPointError("non-finite training loss") first.
     """
     if x0.shape != x0_hat.shape:
         raise ValueError(f"count mismatch: {x0.shape} vs {x0_hat.shape}")
@@ -147,6 +152,10 @@ def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
     mask[:, 2] = 0.0
     gt = x0 * mask
     proj_hat = T.mul(x0_hat, mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.ptp(np.concatenate([proj_hat, gt]), axis=0)
+        if not np.isfinite(span @ span):
+            raise FloatingPointError("non-finite training loss")
     idx_hat_to_gt = nearest_indices(proj_hat, gt)
     idx_gt_to_hat = nearest_indices(gt, proj_hat)
     # mean squared point distance = 3 * elementwise MSE over (n,3)

@@ -10,7 +10,9 @@ of a parameter is another array and gets no gradient, so parameters enter
 a graph only through ops (``linear``, ``reshape``), never through numpy
 indexing. No implicit broadcasting: shapes must match exactly,
 except that a (1, C) row is added to every row of a (K, C) array by
-``linear``'s bias and by ``add``; no other op broadcasts.
+the bias of ``linear`` and ``dense`` and by ``add``; no other op
+broadcasts. A tape is walked once, and the walk frees each entry as it
+passes it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _tls = threading.local()
+LEAKY_SLOPE = 0.01  # the negative slope of dense and, by default, leaky_relu
 
 
 class ShapeError(ValueError):
@@ -41,6 +44,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
+        self._walked = False
         self._prev = None
 
     def __enter__(self):
@@ -60,8 +64,18 @@ class Tape:
                  sums: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
         """Gradient of loss with respect to each array in wrt (one that no
         op on this tape produced), in that order; zeros where the loss
-        does not reach. Gradients are keyed by id(): the tape holds every
-        array it names, so no id is reused while it runs.
+        does not reach.
+
+        The walk pops each entry before it runs that entry's backward, so
+        the arrays only that entry held are freed as soon as their
+        gradients exist, and it empties the tape: a tape is walked once,
+        and a second walk raises RuntimeError. Gradients are keyed by
+        id(). That stays sound while arrays are freed: every id the walk
+        looks up is that of loss, of an array of wrt or of an array an op
+        recorded, and all of those were alive together at the end of the
+        forward pass, so no two share an id. An id the walk frees can only
+        be reused by an array made during the walk, a gradient, and the
+        walk never looks up those.
 
         `sums`, if given, maps the id() of arrays of wrt to their partial
         gradients from walks over earlier tapes, so those arrays must stay
@@ -69,16 +83,20 @@ class Tape:
         over all the tapes, the last recorded first, would, and stores the
         new sums back. An array the loss does not reach keeps its sum, or
         stays absent, and gets that sum, or zeros, in the returned list."""
+        if self._walked:
+            raise RuntimeError("this tape was already walked backward")
         if loss.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+        self._walked = True
         grads: dict[int, np.ndarray] = dict(sums or ())
         grads[id(loss)] = np.ones_like(loss)
-        for entry in reversed(self.entries):
+        entries = self.entries
+        while entries:
+            entry = entries.pop()
             gout = grads.pop(id(entry.output), None)
             if gout is None:
                 continue
-            gins = entry.backward_fn(gout)
-            for t, g in zip(entry.inputs, gins):
+            for t, g in zip(entry.inputs, entry.backward_fn(gout)):
                 if g is None:
                     continue
                 key = id(t)
@@ -126,14 +144,18 @@ def scale(a: np.ndarray, c: float) -> np.ndarray:
     return _make([a], a * c, lambda g: (g * c,))
 
 
+def _check_affine(op: str, x, w, b) -> None:
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b is not None and b.shape not in ((w.shape[1],), (1, w.shape[1]))):
+        raise ShapeError(f"{op}: shapes {x.shape} @ {w.shape} + "
+                         f"{None if b is None else b.shape}")
+
+
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Affine map x@W + b of a (K, Cin) array, with b of shape (C,) or
     (1, C) added to every row; its gradient sums the rows of g. Without b
     it is the bare product x@W."""
-    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
-            or b is not None and b.shape not in ((w.shape[1],), (1, w.shape[1]))):
-        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + "
-                         f"{None if b is None else b.shape}")
+    _check_affine("linear", x, w, b)
     out = x @ w
     if b is None:
         return _make([x, w], out, lambda g: (g @ w.T, x.T @ g))
@@ -141,6 +163,36 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
     def bwd(g):
         return (g @ w.T, x.T @ g, g.sum(axis=0).reshape(b.shape))
+
+    return _make([x, w, b], out, bwd)
+
+
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """leaky_relu(linear(x, w, b)) as one op that keeps only its output:
+    bit for bit the same value and gradients, without holding the
+    pre-activation a = x@W + b while the graph waits for its walk.
+
+    The backward's coefficient (1 where a >= 0, else the slope) is read
+    from out >= 0, which agrees with a >= 0 for -0.0, NaN and the
+    infinities. It disagrees only where slope * a underflows to -0.0 for
+    a tiny negative a (|a| at most about 2.5e-322), whose output is then
+    the -0.0 of a = -0.0; the forward lists those elements, looking for
+    them only on a tape and only if out has a zero."""
+    _check_affine("dense", x, w, b)
+    a = x @ w
+    a += b
+    out = a * LEAKY_SLOPE
+    np.maximum(a, out, out=out)
+    under = None
+    if getattr(_tls, "tape", None) is not None and not out.all():
+        under = np.flatnonzero((out == 0) & (a < 0))
+
+    def bwd(g):
+        coef = np.maximum(out >= 0, LEAKY_SLOPE)
+        if under is not None:
+            coef.flat[under] = LEAKY_SLOPE
+        coef *= g
+        return (coef @ w.T, x.T @ coef, coef.sum(axis=0).reshape(b.shape))
 
     return _make([x, w, b], out, bwd)
 
@@ -162,7 +214,7 @@ def concat_last_axis(parts: Sequence[np.ndarray]) -> np.ndarray:
     return _make(list(parts), np.concatenate(parts, axis=-1), bwd)
 
 
-def leaky_relu(a: np.ndarray, slope: float = 0.01) -> np.ndarray:
+def leaky_relu(a: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
     # max(a, slope*a) equals a*coef, coef = 1 where a >= 0 else slope, bit
@@ -252,6 +304,22 @@ def gather_rows(a: np.ndarray, indices) -> np.ndarray:
         return (ga[:n * c].reshape(n, c),)
 
     return _make([a], out, bwd)
+
+
+def rows_from(a: np.ndarray, k: int) -> np.ndarray:
+    """Rows k: of a 2D array, as a view: bit for bit gather_rows(a,
+    arange(k, n)) without its copy. The backward writes g + 0.0 into rows
+    k: of zeros, as that gather's bincount scatter sums each row's one
+    term from +0.0 (so -0.0 becomes +0.0)."""
+    if a.ndim != 2 or not 0 <= k <= a.shape[0]:
+        raise ShapeError(f"rows_from: rows {k}: of shape {a.shape}")
+
+    def bwd(g):
+        ga = np.zeros_like(a)
+        np.add(g, 0.0, out=ga[k:])
+        return (ga,)
+
+    return _make([a], a[k:], bwd)
 
 
 def reshape(a: np.ndarray, shape) -> np.ndarray:

@@ -319,31 +319,36 @@ class TestFactoredForward:
         assert uses(guided, hw) == 2
         for name in ("dec.w1f", "dec.w2"):
             assert uses(guided, name) == 2 * uses(single, name) == 2, name
-        # the decoder reads its weights whole: the only row gather is the
-        # cut h[K:] of an upsampler call
+        # the decoder reads its weights whole and no call gathers rows: the
+        # cut h[K:] of an upsampler call is one rows_from view of h
         with T.Tape() as cut:
             denoise_graph(p, xt, 6, z, guided=True, K=4)
-        gathers = [e for tape in (guided, single, cut) for e in tape.entries
-                   if e.backward_fn.__qualname__.startswith("gather_rows.")]
-        assert len(gathers) == 1
-        assert not any(x is v for e in gathers for x in e.inputs
-                       for v in p.values())
+
+        def ops(tape, name):
+            return [e for e in tape.entries
+                    if e.backward_fn.__qualname__.startswith(name + ".")]
+
+        assert not any(ops(tape, "gather_rows") for tape in (guided, single, cut))
+        assert not ops(guided, "rows_from") and not ops(single, "rows_from")
+        (view,) = ops(cut, "rows_from")
+        assert view.output.base is view.inputs[0]
+        assert view.output.shape == (6, SMALL.w2)
 
     def test_tape_entries_per_call(self, recorded_ops):
-        """One op per affine layer, and no gather of weight rows: at the toy
-        config (K=256, d=32) a plain call records 22 tape entries and a
-        guided call 39: one shared h@W_h product, then one bias-row add per
-        branch."""
+        """One op per layer, its activation included, and no gather of
+        weight rows: at the toy config (K=256, d=32) a plain call records
+        14 tape entries and a guided call 27: one shared h@W_h product, then
+        one bias-row add and its leaky ReLU per branch."""
         p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
         rng = np.random.default_rng(16)
         xt = rng.normal(size=(256, 3))
         z = rng.normal(size=32)
         with T.Tape():
             denoise_graph(p, xt, 7, z)
-        assert recorded_ops() == 22
+        assert recorded_ops() == 14
         with T.Tape():
             denoise_graph(p, xt, 7, z, guided=True)
-        assert recorded_ops() == 22 + 39
+        assert recorded_ops() == 14 + 27
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,30 @@ class TestRegularizationLoss:
         with pytest.raises(ValueError):
             with T.Tape():
                 regularization_loss(np.zeros((4, 3)), np.zeros((5, 3)), 1, SCH)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_diverged_cloud_raises_before_nn_query(self, bad, nn_query_rows):
+        """A NaN, an infinity or a coordinate whose squared distances
+        overflow raises the training loss's FloatingPointError before the
+        k-d tree sees it, not an IndexError from inside the query."""
+        x0 = np.random.default_rng(4).normal(size=(8, 3))
+        hat = x0.copy()
+        hat[3, 0] = bad
+        with T.Tape(), pytest.raises(FloatingPointError,
+                                     match="non-finite training loss"):
+            regularization_loss(x0, hat, 1, SCH)
+        assert nn_query_rows[0] == 0
+
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_diverged_training_cloud_raises_floating_point_error(self, K):
+        """x0 = 1e300 everywhere reconstructs a finite cloud whose squared
+        distances overflow; at lambda(t) > 0 its sample raises before the
+        nearest-neighbour query."""
+        x0 = np.full((12, 3), 1e300)
+        with np.errstate(over="ignore"), T.Tape(), pytest.raises(
+                FloatingPointError, match="non-finite training loss"):
+            sample_losses(tiny_params(), x0, x0[:K], 1, np.zeros_like(x0),
+                          embedding(), SCH)
 
 
 class TestFullLossGradient:
@@ -490,6 +515,31 @@ class TestPerSampleWalks:
             for k in params:
                 assert np.array_equal(now[k], snapshot[k]), k
         assert state.step_count == 1
+
+
+@pytest.mark.parametrize("t", [90, 2], ids=["lambda-0", "lambda-0.75"])
+def test_sample_graph_holds_only_the_activations(t):
+    """Bytes an upsampler-shaped sample (N=1024, K=256, paper widths) holds
+    after its forward pass: the four leaky-ReLU outputs at N or N - K rows
+    that the backward reads, plus under 512 KB of small arrays and entries.
+    Keeping a pre-activation (at least 512 KB here) or copying the cut
+    h[K:] (768 KB) again breaks the bound."""
+    N, K, cfg = 1024, 256, DenoiserConfig()
+    params = init_denoiser_params(cfg, seed=0)
+    rng = np.random.default_rng(40)
+    x0, eps = rng.uniform(-1, 1, size=(N, 3)), rng.normal(size=(N, 3))
+    emb = rng.normal(size=cfg.d)
+    activations = 8 * (N * cfg.w1 + N * cfg.w2 + 2 * (N - K) * cfg.wd)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:  # bound, so the graph outlives the block
+            sample_losses(params, x0, x0[:K], t, eps, emb, SCH)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert tape.entries
+    finally:
+        tracemalloc.stop()
+    assert activations <= held < activations + 2 ** 19
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -149,7 +150,42 @@ def test_backward_returns_gradients_in_wrt_order():
     assert np.array_equal(grads[1], np.zeros((2, 3)))
     np.testing.assert_allclose(grads[2], [15.0])
     assert np.array_equal(grads[3], [0.0, 0.0])
+    with T.Tape() as tape:
+        loss = _sum_all(T.mul(a, b))
     assert tape.backward(loss, []) == []
+
+
+def test_walk_frees_each_entry_and_runs_once():
+    """The walk drops an entry before it walks the ones recorded earlier:
+    an activation that only the tape holds is freed before the backward of
+    the entry that made its input runs. A walked tape is empty, and a
+    second walk raises."""
+    rng = np.random.default_rng(5)
+    x, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    w1, b1 = rng.normal(size=(3, 4)), rng.normal(size=4)
+    w2, b2 = rng.normal(size=(4, 2)), rng.normal(size=2)
+    with T.Tape() as tape:
+        h = T.dense(T.dense(x, w1, b1), w2, b2)
+        loss = T.mse(h, target)
+    first = tape.entries[0]
+    assert any(i is x for i in first.inputs)
+    h_ref = weakref.ref(h)
+    del h
+    assert h_ref() is not None
+    seen = []
+    backward_fn = first.backward_fn
+
+    def spy(g):
+        seen.append(h_ref())
+        return backward_fn(g)
+
+    first.backward_fn = spy
+    del first
+    grads = tape.backward(loss, [w1, b1])
+    assert seen == [None]
+    assert tape.entries == [] and all(np.abs(g).max() > 0 for g in grads)
+    with pytest.raises(RuntimeError, match="already walked"):
+        tape.backward(loss, [w1, b1])
 
 
 def test_backward_rejects_nonscalar():
@@ -382,6 +418,87 @@ def test_add_rejects_anything_but_a_row(b_shape):
         T.add(np.ones((3, 4)), np.ones(b_shape))
 
 
+def _dense_case(rng, n=40):
+    """x, W, b whose pre-activations x@W + b include +0.0, -0.0, NaN, the
+    infinities, tiny negatives that slope * a rounds to -0.0 and tiny
+    positives, with a gradient holding -0.0, NaN and infinities."""
+    x = rng.normal(size=(n, 5))
+    w = rng.normal(size=(5, 12))
+    b = rng.normal(size=(1, 12))
+    x[:8] = 0.0  # rows whose pre-activation is the bias row
+    b[0, :9] = [0.0, -0.0, np.nan, np.inf, -np.inf, -5e-324, -2e-322,
+                5e-324, -1e-310]
+    g = rng.normal(size=(n, 12))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[8, :3] = [np.nan, np.inf, -np.inf]
+    return x, w, b, g
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_bitwise_equal_to_leaky_relu_of_linear(seed):
+    """Forward and backward equal leaky_relu(linear(x, W, b)) bit for bit:
+    signed zeros, NaN and infinite pre-activations, pre-activations whose
+    slope * a underflows to -0.0 and -0.0 gradients included."""
+    x, w, b, g = _dense_case(np.random.default_rng(seed))
+    for bias in (b, b.reshape(-1)):
+        with np.errstate(invalid="ignore"), T.Tape() as tape:
+            want = T.leaky_relu(T.linear(x, w, bias))
+            (g_pre,) = tape.entries[-1].backward_fn(g)
+            want_grads = tape.entries[-2].backward_fn(g_pre)
+            got = T.dense(x, w, bias)
+            got_grads = tape.entries[-1].backward_fn(g)
+        assert [id(i) for i in tape.entries[-1].inputs] == [id(x), id(w), id(bias)]
+        assert got.tobytes() == want.tobytes()
+        for have, ref in zip(got_grads, want_grads, strict=True):
+            assert have.shape == ref.shape
+            assert have.tobytes() == ref.tobytes()
+
+
+def test_dense_bad_shapes():
+    msg = "dense: shapes (2, 3) @ (3, 4) + (2, 4)"
+    with pytest.raises(T.ShapeError, match=re.escape(msg)):
+        T.dense(np.ones((2, 3)), np.ones((3, 4)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (7, 0), (7, 7), (1024, 256)])
+def test_rows_from_bitwise_equal_to_gather_rows(n, k):
+    """The view and its gradient equal gather_rows(a, arange(k, n)) bit for
+    bit, -0.0 (which both turn into +0.0) and NaN gradients included."""
+    rng = np.random.default_rng(n + k)
+    a = rng.normal(size=(n, 4))
+    a[:2, 0] = [-0.0, np.nan]
+    g = _with_negative_zeros(rng, rng.normal(size=(n - k, 4)))
+    g[:1, 1:3] = [np.nan, -np.inf]
+    with T.Tape() as tape:
+        want = T.gather_rows(a, np.arange(k, n))
+        (want_g,) = tape.entries[-1].backward_fn(g)
+        got = T.rows_from(a, k)
+        (got_g,) = tape.entries[-1].backward_fn(g)
+    assert got.base is a and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert got_g.tobytes() == want_g.tobytes()
+
+
+@pytest.mark.parametrize("shape,k", [((4,), 1), ((4, 2), -1), ((4, 2), 5)])
+def test_rows_from_bad_arguments(shape, k):
+    with pytest.raises(T.ShapeError):
+        T.rows_from(np.ones(shape), k)
+
+
+def test_dense_matches_finite_differences():
+    rng = np.random.default_rng(24)
+    x, w, b = rng.normal(size=(6, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+    target = rng.normal(size=(6, 4))
+    _fd_check(lambda ps: T.mse(T.dense(ps[0], ps[1], ps[2]), target), [x, w, b])
+
+
+def test_rows_from_matches_finite_differences():
+    rng = np.random.default_rng(25)
+    a, w, target = rng.normal(size=(7, 3)), rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    _fd_check(lambda ps: T.mse(T.linear(T.rows_from(ps[0], 3), ps[1]), target),
+              [a, w])
+
+
 def test_gather_rows_negative_index_is_zero_row():
     a = np.arange(6.0).reshape(3, 2)
     with T.Tape() as tape:
@@ -487,12 +604,15 @@ OP_CASES = {
     "linear": lambda a, b: T.linear(a, T.reshape(b, (4, 3)),
                                     np.array([[-0.0, 0.5, -2.0]])),
     "concat_last_axis": lambda a, b: T.concat_last_axis([a, b, a]),
+    "dense": lambda a, b: T.dense(a, T.reshape(b, (4, 3)),
+                                  np.array([[-0.0, 0.5, -2.0]])),
     "leaky_relu": lambda a, b: T.leaky_relu(a, slope=0.2),
     "sigmoid": lambda a, b: T.sigmoid(a),
     "reduce_max_over_points": lambda a, b: T.reduce_max_over_points(a),
     "mse": lambda a, b: T.mse(a, b),
     "gather_rows": lambda a, b: T.gather_rows(a, [2, -1, 0, 0]),
     "reshape": lambda a, b: T.reshape(a, (4, 3)),
+    "rows_from": lambda a, b: T.rows_from(a, 1),
 }
 
 
