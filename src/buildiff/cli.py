@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 ok, 1 internal error, 2 missing stage dependency,
-3 unreadable input, 4 data mismatch.
+3 unreadable input, 4 data mismatch, 5 non-finite numbers (a diverged
+training step or a non-finite model output while sampling).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_INTERNAL = 1
 EXIT_DEPENDENCY = 2
 EXIT_INPUT = 3
 EXIT_MISMATCH = 4
+EXIT_NONFINITE = 5
 
 CLOUD_LOADERS = {".ply": load_ply, ".bpc": load_bpc, ".xyz": load_xyz}
 CLOUD_SAVERS = {".ply": save_ply, ".bpc": save_bpc, ".xyz": save_xyz}
@@ -50,7 +52,7 @@ def _load_config(args) -> TrainConfig:
         cfg = cfg.with_file(args.config)
     cfg = cfg.with_lines(args.set or [], "--set")
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = cfg.with_lines([f"seed={args.seed}"], "--seed")
     return cfg
 
 
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .optim import AdamState, backward_and_step
+from .optim import AdamState, adam_step
 
 
 @dataclass
@@ -213,32 +213,22 @@ def ae_loss(I: np.ndarray, I_hat: np.ndarray, z_I: np.ndarray,
     return T.add(T.mse(I, I_hat), T.mse(z_I, z_I_a))
 
 
-def train_autoencoder(images: list[SilhouetteImage], epochs: int = 30,
-                      lr: float = 0.0002, d: int = 128, seed: int = 0,
-                      log_fn=None) -> dict[str, np.ndarray]:
-    """Train on the image list; returns the parameters (caller treats them
-    as frozen afterwards)."""
-    if not images:
-        raise ValueError("empty dataset")
-    size = images[0].height
-    params = init_ae_params(d, size, seed)
-    state = AdamState(params, lr=lr)
-    rng = np.random.default_rng(seed + 1)
-    for epoch in range(epochs):
-        order = rng.permutation(len(images))
-        total = 0.0
-        for i in order:
-            img = images[int(i)]
-            aug = augment(img, int(rng.integers(2 ** 31)))
-            with T.Tape() as tape:
-                z = _encode_graph(params, img.pixels)
-                recon = _decode_graph(params, z, size)
-                z_a = _encode_graph(params, aug.pixels)
-                loss = ae_loss(img.pixels, recon, z, z_a)
-                if not np.isfinite(loss.item()):
-                    raise FloatingPointError(f"autoencoder diverged at epoch {epoch}")
-                backward_and_step(state, params, tape, loss)
-            total += loss.item()
-        if log_fn is not None:
-            log_fn(epoch, total / len(images))
-    return params
+def train_autoencoder(params, state: AdamState, images: list[SilhouetteImage],
+                      rng: np.random.Generator) -> float:
+    """One epoch over images, in their order: one Adam step per image on
+    ae_loss against an augmentation seeded by one rng.integers(2**31)
+    draw. Returns the epoch's mean loss; a non-finite loss raises before
+    Adam moves."""
+    total = 0.0
+    for img in images:
+        aug = augment(img, int(rng.integers(2 ** 31)))
+        with T.Tape() as tape:
+            z = _encode_graph(params, img.pixels)
+            recon = _decode_graph(params, z, img.height)
+            z_a = _encode_graph(params, aug.pixels)
+            loss = ae_loss(img.pixels, recon, z, z_a)
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError("non-finite training loss")
+        adam_step(state, params, tape.backward(loss, list(params.values())))
+        total += loss.item()
+    return total / len(images)

@@ -83,10 +83,9 @@ def generate_building(spec: BuildingSpec) -> Mesh:
                 np.array(ROOF_TRIANGLES[spec.roof_type], dtype=np.int64))
 
 
-def sample_surface(mesh: Mesh, n: int, seed: int,
-                   normalize: bool = True) -> PointCloud:
-    """Area-weighted uniform surface sampling; normalized to [-1,1]^3 unless
-    disabled (tests check on-surface residuals in raw coordinates)."""
+def surface_points(mesh: Mesh, n: int, seed: int) -> np.ndarray:
+    """n area-weighted uniform draws on the mesh surface, in the mesh's
+    coordinates, as an (n, 3) array."""
     if n < 1:
         raise ValueError("n must be >= 1")
     areas = mesh.areas()
@@ -104,11 +103,12 @@ def sample_surface(mesh: Mesh, n: int, seed: int,
     a = mesh.vertices[t[:, 0]]
     b = mesh.vertices[t[:, 1]]
     c = mesh.vertices[t[:, 2]]
-    pts = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    cloud = PointCloud(pts)
-    if normalize:
-        cloud = normalize_unit_cube(cloud)
-    return cloud
+    return a + u[:, None] * (b - a) + v[:, None] * (c - a)
+
+
+def sample_surface(mesh: Mesh, n: int, seed: int) -> PointCloud:
+    """surface_points normalized to [-1,1]^3 (see normalize_unit_cube)."""
+    return normalize_unit_cube(PointCloud(surface_points(mesh, n, seed)))
 
 
 SUPERSAMPLE = 4  # coverage samples per pixel along each axis

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape
-
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -56,9 +54,3 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         s /= r
         p -= s
 
-
-def backward_and_step(state: AdamState, params: dict[str, np.ndarray],
-                      tape: Tape, loss: np.ndarray) -> None:
-    """Backpropagate loss over tape and take one Adam step; a parameter
-    the loss does not reach steps on a zero gradient."""
-    adam_step(state, params, tape.backward(loss, list(params.values())))

@@ -1,11 +1,13 @@
-"""Training loops for the three stages (auto-encoder, base diffusion,
-upsampler diffusion), the footprint regularization loss, experiment
-configuration, and resumable checkpointing."""
+"""The one training loop for the three stages (auto-encoder, base
+diffusion, upsampler diffusion), the diffusion training step and its
+footprint regularization loss, experiment configuration, and resumable
+checkpointing."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -16,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (CheckpointError, check_records, load_params, replaced,
                          save_params)
-from .conditioner import encode, load_pgm, train_autoencoder
+from .conditioner import (encode, init_ae_params, load_pgm,
+                          train_autoencoder)
 from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
 from .diffusion import forward_noise, reconstruct_x0
 from .datagen import DatasetManifest
@@ -57,7 +60,15 @@ class TrainConfig:
                 (self.d >= 2 and self.d % 2 == 0, f"an even d >= 2, got {self.d}"),
                 (self.batch_size >= 1, f"batch_size >= 1, got {self.batch_size}"),
                 (self.checkpoint_interval >= 1,
-                 f"checkpoint_interval >= 1, got {self.checkpoint_interval}")):
+                 f"checkpoint_interval >= 1, got {self.checkpoint_interval}"),
+                (self.seed >= 0, f"seed >= 0, got {self.seed}"),
+                (math.isfinite(self.lr) and self.lr > 0,
+                 f"a finite lr > 0, got {self.lr}"),
+                (0 <= self.drop_prob <= 1, f"0 <= drop_prob <= 1, got {self.drop_prob}"),
+                (math.isfinite(self.rho) and self.rho >= 0,
+                 f"a finite rho >= 0, got {self.rho}"),
+                *((getattr(self, k) >= 0, f"{k} >= 0, got {getattr(self, k)}")
+                  for k in ("epochs_ae", "epochs_base", "epochs_upsampler"))):
             if not ok:
                 raise ValueError(f"need {rule}")
 
@@ -259,7 +270,8 @@ def _stage_ckpt(out_dir: Path, stage: str) -> Path:
 
 
 def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
-    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    path = dataset_dir / "manifest.json"
+    manifest = DatasetManifest.load(path)
     rows = []
     for e in manifest.entries:
         if e["split"] != split:
@@ -269,6 +281,8 @@ def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
             "cloud_path": dataset_dir / e["cloud"],
             "silhouette_path": dataset_dir / e["silhouette"],
         })
+    if not rows:
+        raise ValueError(f"{path}: no {split!r} entries")
     return rows
 
 
@@ -417,13 +431,17 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                  resume: bool = False, log_fn=None) -> Path:
     """Train one stage to completion; returns the checkpoint path.
 
-    Diffusion stages require the frozen auto-encoder checkpoint; the
-    upsampler additionally requires the base checkpoint to exist (pipeline
-    ordering). `<stage>.config` is written once, before the first step.
+    Every stage runs through this one epoch loop: one permutation of its
+    data per epoch, cut into logged steps. Diffusion stages require the
+    frozen auto-encoder checkpoint; the upsampler additionally requires
+    the base checkpoint to exist (pipeline ordering). `<stage>.config` is
+    written once, before the first step.
     Checkpoints are written every config.checkpoint_interval epochs, each
     in one commit point, and capture optimizer and RNG state for bitwise
     resumption. The step log `<stage>.log.jsonl` starts empty, or on
-    resume with the lines of the checkpointed steps.
+    resume with the lines of the checkpointed steps. A step's
+    FloatingPointError is raised again naming the stage, epoch, step and
+    the checkpoint this run left, if any.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -434,61 +452,73 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     log_path = out_dir / f"{stage}.log.jsonl"
 
     with _DirLock(out_dir):
+        # each stage's data, fresh parameters, epochs, data items per logged
+        # step (a whole epoch for the auto-encoder, one Adam step per image),
+        # seed offset, and a step returning its loss and its log line
         if stage == "autoencoder":
-            images = [load_pgm(r["silhouette_path"])
-                      for r in _load_dataset(dataset_dir, "train")]
-            params = train_autoencoder(
-                images, epochs=config.epochs_ae, lr=config.lr, d=config.d,
-                seed=config.seed, log_fn=log_fn)
-            config.save(ckpt.with_suffix(".config"))
-            save_params(ckpt, params)
-            return ckpt
+            data = [load_pgm(r["silhouette_path"])
+                    for r in _load_dataset(dataset_dir, "train")]
+            params = init_ae_params(config.d, data[0].height, config.seed)
+            epochs, per_step, offset = config.epochs_ae, len(data), 1
 
-        ae_ckpt = _stage_ckpt(out_dir, "autoencoder")
-        if not ae_ckpt.exists():
-            raise StageDependencyError(
-                f"stage {stage!r} requires the 'autoencoder' checkpoint at {ae_ckpt}")
-        ae_params = load_params(ae_ckpt)
+            def step_fn(params, state, items, rng, epoch, step):
+                loss = train_autoencoder(params, state, items, rng)
+                return loss, json.dumps({"epoch": epoch, "step": step, "L_ae": loss})
+        else:
+            ae_ckpt = _stage_ckpt(out_dir, "autoencoder")
+            if not ae_ckpt.exists():
+                raise StageDependencyError(
+                    f"stage {stage!r} requires the 'autoencoder' checkpoint at {ae_ckpt}")
+            if stage == "upsampler" and not _stage_ckpt(out_dir, "base").exists():
+                raise StageDependencyError(
+                    f"stage 'upsampler' requires the 'base' checkpoint first")
+            prepare, epochs, offset = {
+                "base": (prepare_base_data, config.epochs_base, 10),
+                "upsampler": (prepare_upsampler_data, config.epochs_upsampler, 20),
+            }[stage]
+            data = prepare(dataset_dir, config, model_params(load_params(ae_ckpt)))
+            params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
+            per_step, schedule = config.batch_size, config.schedule(stage)
 
-        if stage == "upsampler" and not _stage_ckpt(out_dir, "base").exists():
-            raise StageDependencyError(
-                f"stage 'upsampler' requires the 'base' checkpoint first")
-
-        prepare, epochs = {
-            "base": (prepare_base_data, config.epochs_base),
-            "upsampler": (prepare_upsampler_data, config.epochs_upsampler),
-        }[stage]
-        schedule = config.schedule(stage)
-        data = prepare(dataset_dir, config, ae_params)
+            def step_fn(params, state, items, rng, epoch, step):
+                log = train_step(params, state, items, config, schedule, rng,
+                                 epoch=epoch, step=step)
+                return log.L_theta, log.to_json()
         config.save(ckpt.with_suffix(".config"))
-
-        params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
         if resume and ckpt.exists():
             params, state, start_epoch, rng = _load_training_state(
                 ckpt, params, config.lr, f"the d={config.d} {stage} stage")
+            saved = start_epoch
         else:
             state = AdamState(params, lr=config.lr)
-            rng = np.random.default_rng(config.seed + {"base": 10, "upsampler": 20}[stage])
-            start_epoch = 0
+            rng = np.random.default_rng(config.seed + offset)
+            start_epoch, saved = 0, None
 
-        step = state.step_count  # global: a resumed run continues the count
+        # global: a resumed run continues the count
+        step = start_epoch * -(-len(data) // per_step)
         kept = _log_before(log_path, step) if step else []
         with replaced(log_path, "w") as logfh:
             logfh.writelines(kept)
         with open(log_path, "a") as logfh:
             for epoch in range(start_epoch, epochs):
                 order = rng.permutation(len(data))
-                for s in range(0, len(order), config.batch_size):
-                    batch = [data[int(i)] for i in order[s:s + config.batch_size]]
-                    log = train_step(params, state, batch, config, schedule, rng,
-                                     epoch=epoch, step=step)
-                    logfh.write(log.to_json() + "\n")
+                for s in range(0, len(order), per_step):
+                    items = [data[int(i)] for i in order[s:s + per_step]]
+                    try:
+                        loss, line = step_fn(params, state, items, rng, epoch, step)
+                    except FloatingPointError as exc:
+                        left = "none" if saved is None else f"{ckpt} at epoch {saved}"
+                        raise FloatingPointError(
+                            f"{stage} stage, epoch {epoch}, step {step}: {exc}; "
+                            f"checkpoint: {left}") from None
+                    logfh.write(line + "\n")
                     if log_fn is not None:
-                        log_fn(epoch, log.L_theta)
+                        log_fn(epoch, loss)
                     step += 1
                 if (epoch + 1) % config.checkpoint_interval == 0 or epoch + 1 == epochs:
                     logfh.flush()  # a kill after the save keeps its steps' lines
                     save_params(ckpt, _training_blob(params, state, epoch + 1, rng))
+                    saved = epoch + 1
         if not ckpt.exists():
             save_params(ckpt, _training_blob(params, state, epochs, rng))
     return ckpt

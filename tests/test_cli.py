@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buildiff import checkpoint
+from buildiff import checkpoint, pipeline
 from buildiff.checkpoint import load_params, save_params
 from buildiff.cli import _load_config, build_parser, main
 from buildiff.conditioner import SilhouetteImage, save_pgm
@@ -233,6 +233,50 @@ class TestResume:
         assert ((ck / "base.log.jsonl").read_bytes()
                 == (tmp_path / "a" / "base.log.jsonl").read_bytes())
 
+    def test_train_ae_resume_is_bitwise(self, dataset, tmp_path):
+        """train-ae stopped after its first epoch's checkpoint and resumed
+        leaves the files of a straight run."""
+        two = ["--set", "epochs_ae=2"]
+        for d, extra in (("a", two), ("b", []), ("b", two + ["--resume"])):
+            assert run(["train-ae", "--dataset", str(dataset), "--out",
+                        str(tmp_path / d), "--seed", "0"] + TINY_TRAIN + extra) == 0
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+        assert len((tmp_path / "a" / "autoencoder.log.jsonl").read_text().splitlines()) == 2
+
+    def test_model_only_autoencoder_trains_base_but_does_not_resume(
+            self, dataset, checkpoints, tmp_path, capsys):
+        """An auto-encoder checkpoint written before the stage kept its
+        training state holds model records only: the diffusion stages
+        still read it, and --resume exits 3 naming the first missing
+        record."""
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        path = ck / "autoencoder.bdif"
+        blob = load_params(checkpoints / "autoencoder.bdif")
+        save_params(path, {k: v for k, v in blob.items() if not k.startswith("opt.")})
+        shutil.copy(checkpoints / "autoencoder.config", ck)
+        assert run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN) == 0
+        assert (ck / "base.bdif").read_bytes() == (checkpoints / "base.bdif").read_bytes()
+        capsys.readouterr()
+        assert run(["train-ae", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0", "--resume"] + TINY_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "no record 'opt.m.enc.c1'" in err
+
+    def test_diverged_step_exits_5_in_one_line(self, dataset, tmp_path, capsys,
+                                               monkeypatch):
+        def diverged(*args):
+            raise FloatingPointError("non-finite training loss")
+        monkeypatch.setattr(pipeline, "train_autoencoder", diverged)
+        capsys.readouterr()
+        assert run(["train-ae", "--dataset", str(dataset), "--out",
+                    str(tmp_path / "ck"), "--seed", "0"] + TINY_TRAIN) == 5
+        assert capsys.readouterr().err == (
+            "error: autoencoder stage, epoch 0, step 0: non-finite training "
+            "loss; checkpoint: none\n")
+        assert not (tmp_path / "ck" / ".lock").exists()
+
     @pytest.mark.parametrize("word", [0.5, -1.0], ids=["fraction", "negative"])
     def test_bad_rng_record_exits_3_naming_it(self, dataset, checkpoints,
                                               tmp_path, capsys, word):
@@ -287,8 +331,11 @@ class TestResume:
 
 class TestConfig:
     @pytest.mark.parametrize("via", ["--set", "--config"])
-    @pytest.mark.parametrize("bad", ["checkpoint_interval=0", "K=4096", "d=7",
-                                     "batch_size=0", "sigma_mode=big", "K=abc"])
+    @pytest.mark.parametrize("bad", [
+        "checkpoint_interval=0", "K=4096", "d=7", "batch_size=0", "sigma_mode=big",
+        "K=abc", "seed=-1", "lr=nan", "lr=inf", "lr=-1", "lr=0", "drop_prob=1.5",
+        "drop_prob=-0.1", "rho=nan", "rho=-1", "epochs_ae=-3", "epochs_base=-1",
+        "epochs_upsampler=-2"])
     def test_bad_value_exits_3_before_writing(self, dataset, tmp_path, capsys,
                                               via, bad):
         out = tmp_path / "ck"
@@ -341,6 +388,12 @@ class TestConfig:
         assert (cfg.K, cfg.sigma_mode, cfg.T, cfg.seed) == (256, "posterior", 7, 3)
         cfg = load("--set", "T=9", "--set", "seed=4", "--seed", "5")
         assert (cfg.K, cfg.T, cfg.seed) == (256, 9, 5)
+
+    def test_negative_seed_exits_3_naming_it(self, dataset, tmp_path, capsys):
+        assert run(["train-ae", "--dataset", str(dataset), "--out",
+                    str(tmp_path / "ck"), "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: --seed: need seed >= 0, got -1\n"
+        assert not (tmp_path / "ck").exists()
 
 
 class TestSample:
@@ -448,6 +501,22 @@ class TestSample:
                     str(img), "--out", str(tmp_path / "o.ply")]) == 3
         err = capsys.readouterr().err
         assert "'enc.proj' has shape (128, 8)" in err and "24x24" in err
+
+    def test_nan_base_weight_exits_5(self, dataset, checkpoints, tmp_path,
+                                     capsys):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        base = load_params(ck / "base.bdif")
+        base["dec.out_b"][0] = np.nan
+        save_params(ck / "base.bdif", base)
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(tmp_path / "o.ply")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite ") and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.ply").exists()
 
     def test_checkpoint_without_rng_record_samples(self, dataset, checkpoints,
                                                    tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from buildiff import tensor as T
+from buildiff import conditioner as C, tensor as T
 from buildiff.conditioner import (SilhouetteImage, _decode_graph, ae_loss,
                                   augment, encode, init_ae_params, load_pgm,
                                   save_pgm, train_autoencoder)
+from buildiff.datagen import DatasetManifest, build_dataset
+from buildiff.optim import AdamState
+from buildiff.pipeline import TrainConfig, run_training
 
 
 # malformed binary PGMs, each with a pattern of its IOError message
@@ -184,29 +187,76 @@ class TestTraining:
             total += np.mean((reconstruct(params, img) - img.pixels) ** 2)
         return total / len(images)
 
+    def train(self, images, epochs, lr, d, seed, log_fn=None):
+        """train_autoencoder driven for `epochs` epochs as run_training
+        drives it: one permutation of the images per epoch."""
+        params = init_ae_params(d, images[0].height, seed)
+        state = AdamState(params, lr=lr)
+        rng = np.random.default_rng(seed + 1)
+        for epoch in range(epochs):
+            order = rng.permutation(len(images))
+            loss = train_autoencoder(params, state, [images[int(i)] for i in order], rng)
+            if log_fn is not None:
+                log_fn(epoch, loss)
+        return params
+
     def test_loss_decreases(self):
         images = self.make_images()
         init = init_ae_params(d=8, img_size=16, seed=0)
         before = self.loss_of(init, images)
-        params = train_autoencoder(images, epochs=8, lr=0.002, d=8, seed=0)
+        params = self.train(images, epochs=8, lr=0.002, d=8, seed=0)
         after = self.loss_of(params, images)
         assert after < before * 0.8
 
     def test_deterministic(self):
         images = self.make_images()
-        a = train_autoencoder(images, epochs=2, lr=0.001, d=8, seed=3)
-        b = train_autoencoder(images, epochs=2, lr=0.001, d=8, seed=3)
+        a = self.train(images, epochs=2, lr=0.001, d=8, seed=3)
+        b = self.train(images, epochs=2, lr=0.001, d=8, seed=3)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            train_autoencoder([], epochs=1)
+    def test_empty_dataset_rejected(self, tmp_path):
+        """A dataset with no training entries is refused before anything is
+        trained, with the manifest's path."""
+        build_dataset(tmp_path / "ds", n_train=1, n_test=1, n_points=32,
+                      resolution=16, seed=0)
+        manifest = DatasetManifest.load(tmp_path / "ds" / "manifest.json")
+        manifest.entries = [e for e in manifest.entries if e["split"] == "test"]
+        manifest.save(tmp_path / "ds" / "manifest.json")
+        with pytest.raises(ValueError, match=r"manifest\.json: no 'train' entries"):
+            run_training(tmp_path / "ds", TrainConfig(d=8, epochs_ae=1),
+                         "autoencoder", tmp_path / "ck")
+        assert not (tmp_path / "ck" / "autoencoder.bdif").exists()
 
-    def test_training_log_callback(self):
+    def test_training_log_callback(self, monkeypatch):
+        """One call per epoch, with the epoch's mean loss over its images;
+        each image takes one Adam step."""
         images = self.make_images(n=3)
         rows = []
-        train_autoencoder(images, epochs=2, lr=0.001, d=8, seed=0,
-                          log_fn=lambda e, l: rows.append((e, l)))
+        params = self.train(images, epochs=2, lr=0.001, d=8, seed=0,
+                            log_fn=lambda e, l: rows.append((e, l)))
         assert [e for e, _ in rows] == [0, 1]
         assert all(np.isfinite(l) for _, l in rows)
+        losses = []
+
+        def recorded(*args):
+            loss = ae_loss(*args)
+            losses.append(loss.item())
+            return loss
+        monkeypatch.setattr(C, "ae_loss", recorded)
+        state = AdamState(params, lr=0.001)
+        mean = train_autoencoder(params, state, images, np.random.default_rng(5))
+        assert len(losses) == 3 and state.step_count == 3
+        assert mean == sum(losses) / 3
+
+    def test_non_finite_loss_raises_before_adam(self):
+        images = self.make_images(n=2)
+        params = init_ae_params(d=8, img_size=16, seed=0)
+        params["dec.linb"][:] = np.nan
+        before = {k: v.copy() for k, v in params.items()}
+        state = AdamState(params, lr=0.001)
+        with pytest.raises(FloatingPointError, match="non-finite training loss"):
+            train_autoencoder(params, state, images, np.random.default_rng(0))
+        assert state.step_count == 0
+        for k in params:
+            np.testing.assert_array_equal(params[k], before[k])

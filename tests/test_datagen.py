@@ -5,8 +5,9 @@ import pytest
 
 from buildiff.datagen import (BuildingSpec, DatasetManifest, build_dataset,
                               generate_building, random_spec,
-                              render_silhouette, roof_oracle, sample_surface)
-from buildiff.geometry import PointCloud, load_bpc
+                              render_silhouette, roof_oracle, sample_surface,
+                              surface_points)
+from buildiff.geometry import PointCloud, load_bpc, normalize_unit_cube
 
 
 def box_spec(**kw):
@@ -103,32 +104,39 @@ class TestSampling:
     def test_points_lie_on_surface(self):
         spec = box_spec(roof_type="gable", roof_pitch=0.6)
         mesh = generate_building(spec)
-        cloud = sample_surface(mesh, 2000, seed=0, normalize=False)
+        points = surface_points(mesh, 2000, seed=0)
         # residual against every supporting plane; each point must sit on one
         v = mesh.vertices
         t = mesh.triangles
         normals = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         offsets = np.einsum("ij,ij->i", normals, v[t[:, 0]])
-        dist = np.abs(cloud.points @ normals.T - offsets)
+        dist = np.abs(points @ normals.T - offsets)
         assert dist.min(axis=1).max() < 1e-9
 
     def test_area_proportional_faces(self):
         mesh = generate_building(box_spec())
         n = 20000
-        cloud = sample_surface(mesh, n, seed=1, normalize=False)
+        points = surface_points(mesh, n, seed=1)
         # count bottom-face points (z == 0); expect share = 2/10 of area
-        frac = np.mean(cloud.points[:, 2] < 1e-12)
+        frac = np.mean(points[:, 2] < 1e-12)
         p = 2.0 / 10.0
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(frac - p) < 3 * sigma + 1e-9
 
-    def test_normalized_by_default(self):
+    def test_normalized_by_default(self, tmp_path):
+        """sample_surface, and so every dataset cloud, is surface_points
+        normalized to [-1, 1]^3."""
         mesh = generate_building(box_spec())
         cloud = sample_surface(mesh, 100, seed=2)
-        assert np.ptp(cloud.points, axis=0).max() == pytest.approx(2.0)
-        assert cloud.points.min() >= -1.0 - 1e-12
-        assert cloud.points.max() <= 1.0 + 1e-12
+        want = normalize_unit_cube(PointCloud(surface_points(mesh, 100, seed=2)))
+        assert cloud.points.tobytes() == want.points.tobytes()
+        manifest = build_dataset(tmp_path, n_train=2, n_test=1, n_points=100, seed=4)
+        for e in manifest.entries:
+            points = load_bpc(tmp_path / e["cloud"]).points
+            assert np.ptp(points, axis=0).max() == pytest.approx(2.0, abs=1e-6)
+            assert points.min() >= -1.0 - 1e-6
+            assert points.max() <= 1.0 + 1e-6
 
     def test_deterministic(self):
         mesh = generate_building(box_spec())

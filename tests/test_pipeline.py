@@ -10,8 +10,8 @@ import pytest
 import buildiff.pipeline as P
 from buildiff import tensor as T
 from buildiff.checkpoint import CheckpointError, load_params
-from buildiff.conditioner import init_ae_params
-from buildiff.datagen import build_dataset
+from buildiff.conditioner import init_ae_params, load_pgm
+from buildiff.datagen import DatasetManifest, build_dataset
 from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                init_denoiser_params)
 from buildiff.diffusion import forward_noise, reconstruct_x0
@@ -22,7 +22,7 @@ from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, sample_losses,
                                toy_config, train_step)
 from buildiff.schedule import lambda_weight, linear_beta_schedule
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, train_autoencoder_reference
 
 SCH = linear_beta_schedule(100)
 
@@ -61,7 +61,11 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("T", 1), ("T_upsampler", 1), ("beta_1", 0.5), ("beta_T", 1.0),
         ("sigma_mode", "big"), ("K", 0), ("K", 4096), ("N", 256), ("d", 7),
-        ("d", 0), ("batch_size", 0), ("checkpoint_interval", 0)])
+        ("d", 0), ("batch_size", 0), ("checkpoint_interval", 0),
+        ("seed", -1), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
+        ("lr", 0.0), ("drop_prob", 1.5), ("drop_prob", -0.1),
+        ("rho", float("nan")), ("rho", -1.0), ("epochs_ae", -3),
+        ("epochs_base", -1), ("epochs_upsampler", -2)])
     def test_bad_value_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             TrainConfig(**{key: value})
@@ -647,6 +651,109 @@ class TestRunTraining:
         run_training(tiny_dataset, cfg, "base", b, resume=True)
         for name in ("base.log.jsonl", "base.bdif", "base.config"):
             assert (b / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("killed_at", [2, 3])
+    def test_autoencoder_killed_then_resumed_is_straight_run(
+            self, tiny_dataset, tmp_path, monkeypatch, killed_at):
+        """The auto-encoder logs one step per epoch and checkpoints as the
+        diffusion stages do: a run killed in its 2nd or 3rd epoch, then
+        resumed, leaves the checkpoint, log and config of a straight run."""
+        cfg = dataclasses.replace(tiny_train_config(), epochs_ae=3)
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path / "a")
+        calls = 0
+        epoch = P.train_autoencoder
+
+        def killed(*args):
+            nonlocal calls
+            calls += 1
+            if calls == killed_at:
+                raise KeyboardInterrupt
+            return epoch(*args)
+
+        monkeypatch.setattr(P, "train_autoencoder", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_training(tiny_dataset, cfg, "autoencoder", tmp_path / "b")
+        monkeypatch.undo()
+        b = tmp_path / "b"
+        assert load_params(b / "autoencoder.bdif")["opt.epoch"] == killed_at - 1
+        run_training(tiny_dataset, cfg, "autoencoder", b, resume=True)
+        for name in ("autoencoder.bdif", "autoencoder.log.jsonl", "autoencoder.config"):
+            assert (b / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+
+    def test_autoencoder_matches_reference_loop(self, tiny_dataset, tmp_path):
+        """The auto-encoder's model records are bitwise those of its own
+        loop before it ran through run_training; its training state adds
+        Adam's moments, one Adam step per image, and the RNG state."""
+        cfg = dataclasses.replace(tiny_train_config(), epochs_ae=3, seed=4)
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path)
+        images = [load_pgm(tiny_dataset / e["silhouette"]) for e in
+                  DatasetManifest.load(tiny_dataset / "manifest.json").entries
+                  if e["split"] == "train"]
+        want = train_autoencoder_reference(images, epochs=3, lr=cfg.lr, d=cfg.d,
+                                           seed=cfg.seed)
+        blob = load_params(tmp_path / "autoencoder.bdif")
+        assert list(P.model_params(blob)) == list(want)
+        for name, value in want.items():
+            assert blob[name].tobytes() == value.tobytes(), name
+        assert blob["opt.step"] == 3 * len(images) and blob["opt.epoch"] == 3
+        assert "opt.rng" in blob and f"opt.m.{name}" in blob
+
+    def test_autoencoder_logs_each_epoch_mean(self, tiny_dataset, tmp_path):
+        import json
+        cfg = dataclasses.replace(tiny_train_config(), epochs_ae=3)
+        seen = []
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path,
+                     log_fn=lambda epoch, loss: seen.append((epoch, loss)))
+        lines = [json.loads(line) for line in
+                 (tmp_path / "autoencoder.log.jsonl").read_text().splitlines()]
+        assert lines == [{"epoch": e, "step": e, "L_ae": loss} for e, loss in seen]
+        assert [e for e, _ in seen] == [0, 1, 2]
+
+    def test_empty_train_split_names_manifest(self, tiny_dataset, tmp_path):
+        """The diffusion stages refuse an empty train split as the
+        auto-encoder does, rather than save an untrained checkpoint."""
+        manifest = DatasetManifest.load(tiny_dataset / "manifest.json")
+        manifest.entries = [e for e in manifest.entries if e["split"] == "test"]
+        manifest.save(tmp_path / "manifest.json")
+        ck = tmp_path / "ck"
+        run_training(tiny_dataset, tiny_train_config(), "autoencoder", ck)
+        with pytest.raises(ValueError, match=r"manifest\.json: no 'train' entries"):
+            run_training(tmp_path, tiny_train_config(), "base", ck)
+        assert not (ck / "base.bdif").exists()
+
+    @pytest.mark.parametrize("stage, name", [("autoencoder", "train_autoencoder"),
+                                             ("base", "train_step")])
+    @pytest.mark.parametrize("diverge_at", [1, 3])
+    def test_diverged_step_names_stage_epoch_step_and_checkpoint(
+            self, tiny_dataset, tmp_path, monkeypatch, stage, name, diverge_at):
+        """A step's FloatingPointError comes back naming the stage, the
+        epoch, the step and the checkpoint the run left, or none; that
+        checkpoint stays as it was saved."""
+        cfg = dataclasses.replace(tiny_train_config(), epochs_ae=4)
+        if stage == "base":
+            run_training(tiny_dataset, cfg, "autoencoder", tmp_path)
+        calls = 0
+        step = getattr(P, name)
+
+        def diverging(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == diverge_at:
+                raise FloatingPointError("non-finite training loss")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(P, name, diverging)
+        ckpt = tmp_path / f"{stage}.bdif"
+        # an auto-encoder step is an epoch; a base epoch has 2 steps
+        epoch = (diverge_at - 1) // (1 if stage == "autoencoder" else 2)
+        left = f"{ckpt} at epoch {epoch}" if epoch else "none"
+        with pytest.raises(FloatingPointError) as exc:
+            run_training(tiny_dataset, cfg, stage, tmp_path)
+        assert str(exc.value) == (f"{stage} stage, epoch {epoch}, step {diverge_at - 1}: "
+                                  f"non-finite training loss; checkpoint: {left}")
+        assert ckpt.exists() == bool(epoch)
+        if epoch:
+            assert load_params(ckpt)["opt.epoch"] == epoch
 
     def test_rng_record_round_trips(self):
         """opt.rng holds a PCG64 state exactly, a buffered 32-bit half

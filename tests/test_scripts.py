@@ -61,6 +61,6 @@ def test_tiny_cli_run_is_reproducible(tmp_path):
     # RNG sidecar, temp file or lock is left behind
     assert {p for p in trees[0] if p.startswith("ckpt/")} == {
         "ckpt/autoencoder.bdif", "ckpt/autoencoder.config",
-        "ckpt/base.bdif", "ckpt/base.config", "ckpt/base.log.jsonl",
+        "ckpt/autoencoder.log.jsonl", "ckpt/base.bdif", "ckpt/base.config", "ckpt/base.log.jsonl",
         "ckpt/upsampler.bdif", "ckpt/upsampler.config",
         "ckpt/upsampler.log.jsonl"}
