@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from buildiff.checkpoint import load_params
 from buildiff.conditioner import encode, load_pgm
 from buildiff.datagen import DatasetManifest, build_dataset, roof_oracle
 from buildiff.denoiser import make_model
 from buildiff.diffusion import sample_base
 from buildiff.geometry import normalize_unit_cube, save_ply
-from buildiff.pipeline import model_params, run_training, toy_config
+from buildiff.pipeline import load_stage_params, run_training, toy_config
 
 
 def main() -> int:
@@ -51,18 +50,19 @@ def main() -> int:
     run_training(root / "data", cfg, "base", root / "ckpt")
     print(f"   done at {time.time() - t0:.0f}s")
 
-    ae = load_params(root / "ckpt/autoencoder.bdif")
-    model = make_model(model_params(load_params(root / "ckpt/base.bdif")))
-    schedule = cfg.schedule("base")
     manifest = DatasetManifest.load(root / "data/manifest.json")
     tests = [e for e in manifest.entries if e["split"] == "test"]
+    images = [load_pgm(root / "data" / e["silhouette"]) for e in tests]
+    ae = load_stage_params(root / "ckpt", "autoencoder", cfg.d, images[0].height)
+    model = make_model(load_stage_params(root / "ckpt", "base", cfg.d))
+    embeddings = [encode(ae, img) for img in images]
+    schedule = cfg.schedule("base")
 
     print("== sampling held-out conditions ==")
     print(f"{'gamma':>6} {'match':>7} {'flat/gable predicted':>22}")
     for gamma in [float(g) for g in args.gammas.split(",")]:
         preds = []
-        for i, entry in enumerate(tests):
-            z = encode(ae, load_pgm(root / "data" / entry["silhouette"]))
+        for i, (entry, z) in enumerate(zip(tests, embeddings)):
             cloud, _ = sample_base(model, z, cfg.K, gamma,
                                    seed=3000 + i, schedule=schedule)
             norm = normalize_unit_cube(cloud)

@@ -10,22 +10,18 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import check_records, load_params
-from .conditioner import ae_shapes, encode, load_pgm
+from .conditioner import encode, load_pgm
 from .datagen import build_dataset
 from .diffusion import sample_base, sample_upsampled
-from .denoiser import DenoiserConfig, init_denoiser_params, make_model
+from .denoiser import make_model
 from .geometry import (PointCloud, load_bpc, load_ply, load_xyz,
                        normalize_unit_cube, save_bpc, save_ply, save_xyz)
 from .metrics import evaluate_pair, write_report_jsonl
-from .pipeline import (STAGES, StageDependencyError, TrainConfig, model_params,
-                       run_training, toy_config)
+from .pipeline import (StageDependencyError, TrainConfig, load_stage_params,
+                       run_training, toy_config, trained_checkpoint)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -89,37 +85,13 @@ def _cmd_train(stage: str):
     return run
 
 
-@functools.cache
-def _denoiser_shapes(d: int) -> dict[str, tuple[int, ...]]:
-    """The parameter shapes of a d-wide denoiser, from one fresh
-    initialisation per process (about 1 ms at d=128)."""
-    return {k: v.shape for k, v in
-            init_denoiser_params(DenoiserConfig(d=d), seed=0).items()}
-
-
-def _checked_params(path: Path, shapes, what: str):
-    """The model records of the checkpoint at path, which must have the
-    names and shapes in `shapes` (see check_records)."""
-    params = model_params(load_params(path))
-    check_records(path, params, shapes, what)
-    return params
-
-
-def _checked_stage_params(ckpt_dir: Path, stage: str, cfg: TrainConfig):
-    return _checked_params(ckpt_dir / f"{stage}.bdif", _denoiser_shapes(cfg.d),
-                           f"the d={cfg.d} {stage} stage")
-
-
 def _cmd_sample(args) -> int:
     out = Path(args.out)
     saver = _cloud_saver(out)
     ckpt_dir = Path(args.checkpoints)
-    needed = ["autoencoder", "base"] + (["upsampler"] if args.high_res else [])
-    for stage in needed:
-        if not (ckpt_dir / f"{stage}.bdif").exists():
-            print(f"error: missing checkpoint for stage '{stage}' in {ckpt_dir}",
-                  file=sys.stderr)
-            return EXIT_DEPENDENCY
+    # a missing stage exits 2 before any input is read
+    for stage in ["autoencoder", "base"] + (["upsampler"] if args.high_res else []):
+        trained_checkpoint(ckpt_dir, stage)
     img = load_pgm(args.image)
     if img.height != img.width or img.height % 8:
         raise ValueError(f"{args.image}: silhouette is {img.height}x{img.width}; "
@@ -132,28 +104,32 @@ def _cmd_sample(args) -> int:
             print(f"error: upsampler.config has K={up_cfg.K} but base.config "
                   f"has K={cfg.K} in {ckpt_dir}", file=sys.stderr)
             return EXIT_MISMATCH
-    ae_params = _checked_params(ckpt_dir / "autoencoder.bdif",
-                                ae_shapes(cfg.d, img.height),
-                                f"a d={cfg.d} auto-encoder of "
-                                f"{img.height}x{img.height} images")
-    base_params = _checked_stage_params(ckpt_dir, "base", cfg)
+    ae_params = load_stage_params(ckpt_dir, "autoencoder", cfg.d, img.height)
+    base_params = load_stage_params(ckpt_dir, "base", cfg.d)
+    if args.high_res:
+        up_params = load_stage_params(ckpt_dir, "upsampler", up_cfg.d)
     z_I = encode(ae_params, img)
 
-    stride = args.trace_stride
-    cloud, snapshots = sample_base(make_model(base_params), z_I, cfg.K,
-                                   args.gamma, args.seed, cfg.schedule("base"),
-                                   trace_stride=stride)
+    def chain(stage, run, *chain_args):
+        """run(*chain_args), with a non-finite model output named by the
+        stage and its checkpoint."""
+        try:
+            return run(*chain_args, trace_stride=args.trace_stride)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{stage} stage, {ckpt_dir / f'{stage}.bdif'}: {exc}") from None
+
+    cloud, snapshots = chain("base", sample_base, make_model(base_params), z_I,
+                             cfg.K, args.gamma, args.seed, cfg.schedule("base"))
     steps = cfg.T
     if args.high_res:
-        up_params = _checked_stage_params(ckpt_dir, "upsampler", up_cfg)
-        up_model = make_model(up_params, up_cfg.K)
-        cloud, snapshots = sample_upsampled(up_model, z_I, cloud,
-                                            up_cfg.N, args.gamma, args.seed + 1,
-                                            up_cfg.schedule("upsampler"),
-                                            trace_stride=stride)
+        cloud, snapshots = chain("upsampler", sample_upsampled,
+                                 make_model(up_params, up_cfg.K), z_I, cloud,
+                                 up_cfg.N, args.gamma, args.seed + 1,
+                                 up_cfg.schedule("upsampler"))
         steps += up_cfg.T_upsampler
     saver(out, cloud)
-    if stride and args.trace_dir:
+    if args.trace_stride and args.trace_dir:
         tdir = Path(args.trace_dir)
         tdir.mkdir(parents=True, exist_ok=True)
         for t, snap in snapshots:

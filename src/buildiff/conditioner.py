@@ -63,6 +63,8 @@ def load_pgm(path) -> SilhouetteImage:
         m = _PGM_FIELD.match(raw, pos)
         if m is None:
             raise IOError(f"{path}: PGM header has no {name}")
+        if len(m.group(1)) > 9:  # far above any size or maxval that loads
+            raise IOError(f"{path}: PGM {name} has {len(m.group(1))} digits")
         fields.append(int(m.group(1)))
         pos = m.end()
     w, h, maxval = fields

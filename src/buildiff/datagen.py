@@ -173,6 +173,8 @@ class DatasetManifest:
             doc = json.loads(Path(path).read_bytes())
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON: nested too deeply") from None
         entries = doc.get("entries") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f'{path}: the manifest needs an "entries" list')

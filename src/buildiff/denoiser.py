@@ -28,43 +28,42 @@ def _kaiming(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
+def denoiser_shapes(cfg: DenoiserConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each denoiser parameter, in draw order; a weight is
+    its (fan_in, fan_out) matrix, a bias is 1-D. The first decoder layer
+    is three blocks, one per input: per-point features h, max-pool
+    context and fused time/condition features."""
     d, w1, w2, wd = cfg.d, cfg.w1, cfg.w2, cfg.wd
-    spec = {
-        "time.w1": (d, (d, d)),
-        "time.b1": None,
-        "time.w2": (d, (d, d)),
-        "time.b2": None,
-        "fuse.w1": (2 * d, (2 * d, d)),
-        "fuse.b1": None,
-        "fuse.w2": (d, (d, d)),
-        "fuse.b2": None,
-        "point.w1": (3, (3, w1)),
-        "point.b1": None,
-        "point.w2": (w1, (w1, w2)),
-        "point.b2": None,
-        "dec.w1": (2 * w2 + d, (2 * w2 + d, wd)),
-        "dec.b1": None,
-        "dec.w2": (wd, (wd, wd)),
-        "dec.b2": None,
+    return {
+        "time.w1": (d, d), "time.b1": (d,),
+        "time.w2": (d, d), "time.b2": (d,),
+        "fuse.w1": (2 * d, d), "fuse.b1": (d,),
+        "fuse.w2": (d, d), "fuse.b2": (d,),
+        "point.w1": (3, w1), "point.b1": (w1,),
+        "point.w2": (w1, w2), "point.b2": (w2,),
+        "dec.w1h": (w2, wd), "dec.w1c": (w2, wd), "dec.w1f": (d, wd),
+        "dec.b1": (wd,),
+        "dec.w2": (wd, wd), "dec.b2": (wd,),
+        "dec.out_w": (wd, 3), "dec.out_b": (3,),
+        "null_embed": (d,),
     }
+
+
+def init_denoiser_params(cfg: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
+    """Uniform Kaiming weights at fan_in = their row count, except that the
+    three first-decoder-layer blocks share the layer's fan_in 2 w2 + d;
+    zero biases and a zero output layer, so the fresh network predicts
+    eps ~ 0; null_embed uniform in +-0.1, drawn last."""
+    rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for name, s in spec.items():
-        if s is None:  # the bias of the layer drawn just before
-            params[name] = np.zeros(w.shape[1])
-            continue
-        w = _kaiming(rng, *s)
-        if name == "dec.w1":
-            # drawn as one layer, kept as its [h | ctx | fused] row blocks
-            for suffix, block in zip("hcf", np.split(w, [w2, 2 * w2])):
-                params[name + suffix] = block.copy()
+    for name, shape in denoiser_shapes(cfg).items():
+        if name == "null_embed":
+            params[name] = rng.uniform(-0.1, 0.1, size=shape)
+        elif len(shape) == 1 or name == "dec.out_w":
+            params[name] = np.zeros(shape)
         else:
-            params[name] = w
-    # final layer zero so the fresh network predicts eps ~ 0
-    params["dec.out_w"] = np.zeros((wd, 3))
-    params["dec.out_b"] = np.zeros(3)
-    params["null_embed"] = rng.uniform(-0.1, 0.1, size=d)
+            fan_in = 2 * cfg.w2 + cfg.d if name.startswith("dec.w1") else shape[0]
+            params[name] = _kaiming(rng, fan_in, shape)
     return params
 
 

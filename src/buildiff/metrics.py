@@ -28,9 +28,6 @@ class PairReport:
     emd_mode: str = "exact"
     resampled: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def chamfer(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean of squared nearest-neighbour distances."""

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +18,16 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (CheckpointError, check_records, load_params, replaced,
                          save_params)
-from .conditioner import (encode, init_ae_params, load_pgm,
+from .conditioner import (ae_shapes, encode, init_ae_params, load_pgm,
                           train_autoencoder)
-from .denoiser import DenoiserConfig, denoise_graph, init_denoiser_params
+from .denoiser import (DenoiserConfig, denoise_graph, denoiser_shapes,
+                       init_denoiser_params)
 from .diffusion import forward_noise, reconstruct_x0
 from .datagen import DatasetManifest
 from .geometry import (PointCloud, farthest_point_sample, load_bpc,
                        nearest_indices)
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, lambda_weight, linear_beta_schedule
-
-# written into .config files by earlier versions, read by nothing: skipped
-RETIRED_KEYS = frozenset({"gamma", "img_size", "upsampler_condition"})
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -79,14 +76,14 @@ class TrainConfig:
                                     self.sigma_mode)
 
     def with_lines(self, lines, source: str) -> "TrainConfig":
-        """This config with `key=value` lines applied; blank lines, `#`
-        comments and retired keys are skipped. A bad key or value raises
-        ValueError naming `source` and the key."""
+        """This config with `key=value` lines applied; blank lines and `#`
+        comments are skipped. A bad key or value raises ValueError naming
+        `source` and the key."""
         casts = {f.name: type(f.default) for f in dataclasses.fields(self)}
         changes = {}
         for line in lines:
             key, _, value = (part.strip() for part in line.partition("="))
-            if not key or key.startswith("#") or key in RETIRED_KEYS:
+            if not key or key.startswith("#"):
                 continue
             if key not in casts:
                 raise ValueError(f"{source}: unknown config key {key!r}")
@@ -265,8 +262,14 @@ class StageDependencyError(RuntimeError):
 STAGES = ("autoencoder", "base", "upsampler")
 
 
-def _stage_ckpt(out_dir: Path, stage: str) -> Path:
-    return out_dir / f"{stage}.bdif"
+def trained_checkpoint(ckpt_dir, stage: str) -> Path:
+    """`<stage>.bdif` in ckpt_dir, for a step that needs the stage trained;
+    a missing file raises StageDependencyError."""
+    path = Path(ckpt_dir) / f"{stage}.bdif"
+    if not path.exists():
+        raise StageDependencyError(f"no {stage!r} checkpoint at {path}; "
+                                   f"train that stage first")
+    return path
 
 
 def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
@@ -362,6 +365,22 @@ def model_params(blob: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v for k, v in blob.items() if not k.startswith("opt.")}
 
 
+def load_stage_params(ckpt_dir, stage: str, d: int,
+                      img_size: int | None = None) -> dict[str, np.ndarray]:
+    """The model records of `<stage>.bdif` in ckpt_dir (see
+    trained_checkpoint), checked by check_records against the d-wide stage:
+    for the auto-encoder, one of img_size-pixel square silhouettes."""
+    path = trained_checkpoint(ckpt_dir, stage)
+    params = model_params(load_params(path))
+    if stage == "autoencoder":
+        check_records(path, params, ae_shapes(d, img_size),
+                      f"a d={d} auto-encoder of {img_size}x{img_size} images")
+    else:
+        check_records(path, params, denoiser_shapes(DenoiserConfig(d=d)),
+                      f"the d={d} {stage} stage")
+    return params
+
+
 def _load_training_state(path: Path, fresh, lr: float, what: str):
     """The parameters, Adam state, epoch and RNG saved at path; its records
     must match those of the freshly initialised `fresh` (see
@@ -432,10 +451,10 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     """Train one stage to completion; returns the checkpoint path.
 
     Every stage runs through this one epoch loop: one permutation of its
-    data per epoch, cut into logged steps. Diffusion stages require the
-    frozen auto-encoder checkpoint; the upsampler additionally requires
-    the base checkpoint to exist (pipeline ordering). `<stage>.config` is
-    written once, before the first step.
+    data per epoch, cut into logged steps. Diffusion stages read the frozen
+    auto-encoder (load_stage_params, at config.d and the first training
+    silhouette's side); the upsampler also needs the base checkpoint to
+    exist. `<stage>.config` is written once, before the first step.
     Checkpoints are written every config.checkpoint_interval epochs, each
     in one commit point, and capture optimizer and RNG state for bitwise
     resumption. The step log `<stage>.log.jsonl` starts empty, or on
@@ -448,7 +467,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     dataset_dir = Path(dataset_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = _stage_ckpt(out_dir, stage)
+    ckpt = out_dir / f"{stage}.bdif"
     log_path = out_dir / f"{stage}.log.jsonl"
 
     with _DirLock(out_dir):
@@ -465,18 +484,16 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                 loss = train_autoencoder(params, state, items, rng)
                 return loss, json.dumps({"epoch": epoch, "step": step, "L_ae": loss})
         else:
-            ae_ckpt = _stage_ckpt(out_dir, "autoencoder")
-            if not ae_ckpt.exists():
-                raise StageDependencyError(
-                    f"stage {stage!r} requires the 'autoencoder' checkpoint at {ae_ckpt}")
-            if stage == "upsampler" and not _stage_ckpt(out_dir, "base").exists():
-                raise StageDependencyError(
-                    f"stage 'upsampler' requires the 'base' checkpoint first")
+            if stage == "upsampler":
+                trained_checkpoint(out_dir, "base")  # pipeline order
             prepare, epochs, offset = {
                 "base": (prepare_base_data, config.epochs_base, 10),
                 "upsampler": (prepare_upsampler_data, config.epochs_upsampler, 20),
             }[stage]
-            data = prepare(dataset_dir, config, model_params(load_params(ae_ckpt)))
+            # the auto-encoder is freed once it has encoded the data
+            first = _load_dataset(dataset_dir, "train")[0]["silhouette_path"]
+            data = prepare(dataset_dir, config, load_stage_params(
+                out_dir, "autoencoder", config.d, load_pgm(first).height))
             params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
             per_step, schedule = config.batch_size, config.schedule(stage)
 

@@ -60,3 +60,43 @@ def train_autoencoder_reference(images, epochs: int, lr: float, d: int,
                 loss = ae_loss(img.pixels, recon, z, _encode_graph(params, aug.pixels))
             adam_step(state, params, tape.backward(loss, list(params.values())))
     return params
+
+
+def init_denoiser_params_reference(cfg, seed: int) -> dict[str, np.ndarray]:
+    """The denoiser's initialisation as it stood before it was drawn from
+    `denoiser_shapes`: one Kaiming draw per layer, with the first decoder
+    layer drawn whole at (2 w2 + d, wd) and then split into the row blocks
+    dec.w1h, dec.w1c and dec.w1f; each bias is filled in after its
+    weight, and null_embed comes last."""
+    rng = np.random.default_rng(seed)
+    d, w1, w2, wd = cfg.d, cfg.w1, cfg.w2, cfg.wd
+
+    def kaiming(fan_in, shape):
+        bound = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    spec = {
+        "time.w1": (d, (d, d)), "time.b1": None,
+        "time.w2": (d, (d, d)), "time.b2": None,
+        "fuse.w1": (2 * d, (2 * d, d)), "fuse.b1": None,
+        "fuse.w2": (d, (d, d)), "fuse.b2": None,
+        "point.w1": (3, (3, w1)), "point.b1": None,
+        "point.w2": (w1, (w1, w2)), "point.b2": None,
+        "dec.w1": (2 * w2 + d, (2 * w2 + d, wd)), "dec.b1": None,
+        "dec.w2": (wd, (wd, wd)), "dec.b2": None,
+    }
+    params: dict[str, np.ndarray] = {}
+    for name, s in spec.items():
+        if s is None:  # the bias of the layer drawn just before
+            params[name] = np.zeros(w.shape[1])
+            continue
+        w = kaiming(*s)
+        if name == "dec.w1":
+            for suffix, block in zip("hcf", np.split(w, [w2, 2 * w2])):
+                params[name + suffix] = block.copy()
+        else:
+            params[name] = w
+    params["dec.out_w"] = np.zeros((wd, 3))
+    params["dec.out_b"] = np.zeros(3)
+    params["null_embed"] = rng.uniform(-0.1, 0.1, size=d)
+    return params

@@ -344,8 +344,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     tiny = ["--set", "T=10", "--set", "T_upsampler=8", "--set", "K=16",
             "--set", "N=32", "--set", "d=8", "--set", "epochs_ae=1",
             "--set", "epochs_base=1", "--set", "epochs_upsampler=1",
-            "--set", "batch_size=2", "--set", "img_size=16",
-            "--set", "checkpoint_interval=1"]
+            "--set", "batch_size=2", "--set", "checkpoint_interval=1"]
 
     def tree(root: Path) -> dict[str, bytes]:
         return {str(p.relative_to(root)): p.read_bytes()

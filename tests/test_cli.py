@@ -35,8 +35,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 TINY_TRAIN = ["--set", "T=10", "--set", "T_upsampler=8", "--set", "K=16",
               "--set", "N=32", "--set", "d=8", "--set", "epochs_ae=1",
               "--set", "epochs_base=1", "--set", "epochs_upsampler=1",
-              "--set", "batch_size=2", "--set", "img_size=16",
-              "--set", "checkpoint_interval=1"]
+              "--set", "batch_size=2", "--set", "checkpoint_interval=1"]
 
 
 def edit_record(blob, record, edit):
@@ -123,6 +122,36 @@ class TestTrainOrdering:
                     "--seed", "0"] + TINY_TRAIN) == 0
         assert run(["train-upsampler", "--dataset", str(dataset),
                     "--out", str(ck)] + TINY_TRAIN) == 2
+
+    @pytest.mark.parametrize("stage", ["base", "upsampler"])
+    @pytest.mark.parametrize("edit", ["missing", "misshapen", "other-d"])
+    def test_bad_autoencoder_exits_3_naming_it(self, dataset, checkpoints,
+                                               tmp_path, capsys, stage, edit):
+        """The diffusion stages check autoencoder.bdif's records against d
+        and the silhouettes' side before they write anything."""
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        path = ck / "autoencoder.bdif"
+        blob = load_params(checkpoints / "autoencoder.bdif")
+        extra = []
+        if edit == "other-d":  # a d=8 auto-encoder under a d=16 stage
+            extra = ["--set", "d=16"]
+            want = ["'enc.proj'", "(128, 8)", "d=16", "(128, 16)"]
+        else:
+            want = ["'enc.c2'", str(edit_record(blob, "enc.c2", edit))]
+            if edit == "misshapen":
+                want.append(str(blob["enc.c2"].shape))
+        save_params(path, blob)
+        if stage == "upsampler":
+            shutil.copy(checkpoints / "base.bdif", ck)
+        before = tree_bytes(ck)
+        capsys.readouterr()
+        assert run([f"train-{stage}", "--dataset", str(dataset), "--out",
+                    str(ck), "--seed", "0"] + TINY_TRAIN + extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert all(w in err for w in want), err
+        assert tree_bytes(ck) == before
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert run(["train-ae", "--dataset", str(tmp_path / "nope"),
@@ -514,8 +543,27 @@ class TestSample:
         assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
                     "--out", str(tmp_path / "o.ply")]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite ") and "Traceback" not in err
-        assert err.count("\n") == 1
+        assert err.startswith(f"error: base stage, {ck / 'base.bdif'}: non-finite ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o.ply").exists()
+
+    def test_nan_upsampler_weight_exits_5_naming_it(self, dataset, checkpoints,
+                                                    tmp_path, capsys):
+        """With --high-res, a non-finite model output names the stage whose
+        checkpoint gave it."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        up = load_params(ck / "upsampler.bdif")
+        up["dec.w2"][0, 0] = np.nan
+        save_params(ck / "upsampler.bdif", up)
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
+                    "--out", str(tmp_path / "o.ply"), "--high-res"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: upsampler stage, {ck / 'upsampler.bdif'}: non-finite ")
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o.ply").exists()
 
     def test_checkpoint_without_rng_record_samples(self, dataset, checkpoints,
@@ -529,28 +577,6 @@ class TestSample:
             blob = load_params(ck / f"{stage}.bdif")
             del blob["opt.rng"]
             save_params(ck / f"{stage}.bdif", blob)
-        outs = []
-        for d in (checkpoints, ck):
-            out = tmp_path / f"{d.name}.ply"
-            assert run(["sample", "--checkpoints", str(d), "--image", str(img),
-                        "--out", str(out), "--seed", "4", "--high-res"]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_config_with_retired_keys_samples(self, dataset, checkpoints,
-                                              tmp_path):
-        """A base.config in the format written before gamma, img_size and
-        upsampler_condition were removed still samples, bytewise as before."""
-        img = next((dataset / "silhouettes").glob("*.pgm"))
-        ck = tmp_path / "ck"
-        shutil.copytree(checkpoints, ck)
-        lines = (ck / "base.config").read_text().splitlines()
-        old = (lines[:9] + ["gamma=4.0"] + lines[9:16] + ["img_size=16"]
-               + lines[16:] + ["upsampler_condition=fps"])
-        (ck / "base.config").write_text("\n".join(old) + "\n")
-        assert len(dataclasses.fields(TrainConfig)) == 17
-        assert (TrainConfig.load(ck / "base.config")
-                == TrainConfig.load(checkpoints / "base.config"))
         outs = []
         for d in (checkpoints, ck):
             out = tmp_path / f"{d.name}.ply"
@@ -801,8 +827,6 @@ class TestExport:
 
 class TestHelp:
     def test_help_lists_every_config_key(self, capsys):
-        import dataclasses
-        from buildiff.pipeline import TrainConfig
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from buildiff import conditioner as C, tensor as T
 from buildiff.conditioner import (SilhouetteImage, _decode_graph, ae_loss,
@@ -73,6 +74,68 @@ class TestPgmRoundTrip:
         with pytest.raises(IOError, match=why) as err:
             load_pgm(path)
         assert str(path) in str(err.value)
+
+
+# ------------------------------------------------------------ PGM fuzzing
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# the pieces a PGM header is made of, so that fuzzed files get past the
+# first checks more often than random bytes do
+PGM_BYTES = st.lists(st.sampled_from(
+    [b"P5", b"P2", b"\n", b" ", b"\t", b"#", b"# c\n", b"0", b"1", b"2",
+     b"8", b"255", b"256", b"99999999999", b"\x00", b"\xff", b"\x07"]),
+    max_size=40).map(b"".join)
+
+
+def _loads_or_names_path(path):
+    """load_pgm returns a silhouette with pixels in [0, 1] or raises an
+    IOError or ValueError naming path, never another exception."""
+    try:
+        img = load_pgm(path)
+    except (IOError, ValueError) as exc:
+        assert str(path) in str(exc)
+    else:
+        assert img.pixels.ndim == 2 and img.pixels.size > 0
+        assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=200), PGM_BYTES))
+def test_arbitrary_bytes_load_or_raise_naming_path(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    _loads_or_names_path(path)
+
+
+@FUZZ
+@given(seed=st.integers(0, 1000), h=st.integers(1, 6), w=st.integers(1, 6),
+       flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                      max_size=4),
+       cut=st.integers(0, 10 ** 6))
+def test_edited_pgm_loads_or_raises_naming_path(tmp_path, seed, h, w, flips, cut):
+    """A valid file with bytes flipped and its tail cut off either loads or
+    raises an error naming the file."""
+    path = tmp_path / "fuzz.pgm"
+    save_pgm(path, SilhouetteImage(np.random.default_rng(seed).random((h, w))))
+    blob = bytearray(path.read_bytes())
+    for where, xor in flips:
+        blob[where % len(blob)] ^= xor
+    path.write_bytes(bytes(blob[:len(blob) - cut % (len(blob) + 1)]))
+    _loads_or_names_path(path)
+
+
+@pytest.mark.parametrize("field", ["width", "height", "maxval"])
+def test_header_field_of_thousands_of_digits_names_path(tmp_path, field):
+    """A field longer than Python turns into an int by default raises
+    IOError naming the file, not int()'s digit-limit error."""
+    fields = {"width": b"2", "height": b"2", "maxval": b"255"}
+    fields[field] = b"1" * 5000
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n" + b" ".join(fields.values()) + b"\n" + bytes(4))
+    with pytest.raises(IOError, match=f"PGM {field} has 5000 digits") as err:
+        load_pgm(path)
+    assert str(path) in str(err.value)
 
 
 class TestAugment:

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from buildiff.datagen import (BuildingSpec, DatasetManifest, build_dataset,
+from buildiff.datagen import (MANIFEST_FIELDS, BuildingSpec, DatasetManifest,
+                              build_dataset,
                               generate_building, random_spec,
                               render_silhouette, roof_oracle, sample_surface,
                               surface_points)
@@ -227,6 +229,74 @@ class TestDataset:
             cloud = load_bpc(tmp_path / e["cloud"])
             assert cloud.count == 64
             assert np.abs(cloud.points).max() <= 1.0 + 1e-6
+
+
+# ------------------------------------------------------- manifest fuzzing
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# JSON documents built from the names a manifest holds
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["train", "test", "b00000", "clouds/b00000.bpc"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["entries", *MANIFEST_FIELDS, "spec"]), inner, max_size=5),
+    max_leaves=12).map(lambda doc: json.dumps(doc).encode())
+
+
+def _loads_or_names_path(path):
+    """DatasetManifest.load returns a manifest whose entries hold every
+    MANIFEST_FIELDS string, or raises ValueError naming path, never
+    another exception."""
+    try:
+        manifest = DatasetManifest.load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        for e in manifest.entries:
+            assert all(isinstance(e[key], str) for key in MANIFEST_FIELDS)
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=200), JSON_DOCS))
+def test_arbitrary_manifest_loads_or_raises_naming_path(tmp_path, data):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(data)
+    _loads_or_names_path(path)
+
+
+@pytest.fixture(scope="module")
+def manifest_bytes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    build_dataset(root, n_train=2, n_test=1, n_points=16, resolution=8, seed=0)
+    return (root / "manifest.json").read_bytes()
+
+
+@FUZZ
+@given(flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                      max_size=4),
+       cut=st.integers(0, 10 ** 6))
+def test_edited_manifest_loads_or_raises_naming_path(tmp_path, manifest_bytes,
+                                                     flips, cut):
+    """A valid manifest with bytes flipped and its tail cut off either
+    loads or raises ValueError naming the file."""
+    blob = bytearray(manifest_bytes)
+    for where, xor in flips:
+        blob[where % len(blob)] ^= xor
+    path = tmp_path / "manifest.json"
+    path.write_bytes(bytes(blob[:len(blob) - cut % (len(blob) + 1)]))
+    _loads_or_names_path(path)
+
+
+@pytest.mark.parametrize("opener", [b"[", b'{"entries":'])
+def test_deeply_nested_manifest_names_path(tmp_path, opener):
+    """JSON nested deeper than the decoder recurses raises ValueError
+    naming the file, not RecursionError."""
+    path = tmp_path / "manifest.json"
+    path.write_bytes(opener * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply") as err:
+        DatasetManifest.load(path)
+    assert str(path) in str(err.value)
 
 
 class TestRoofOracle:

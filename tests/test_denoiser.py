@@ -7,7 +7,7 @@ from buildiff.denoiser import (DenoiserConfig, denoise_graph,
                                make_model)
 from buildiff.diffusion import sample_base
 from buildiff.schedule import linear_beta_schedule
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, init_denoiser_params_reference
 
 SMALL = DenoiserConfig(d=8, w1=6, w2=10, wd=12)
 
@@ -65,6 +65,20 @@ class TestInit:
             "dec.out_w", "dec.out_b", "null_embed"]
         for name in set(p) - set(want) - {"dec.w1h", "dec.w1c", "dec.w1f"}:
             assert not p[name].any(), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("cfg", [DenoiserConfig(), SMALL],
+                             ids=["default", "small"])
+    def test_matches_joint_draw_reference(self, cfg, seed):
+        """Drawing the three first-decoder-layer blocks one after another
+        is bitwise the old joint draw of the whole layer, split; the
+        records come in the same order."""
+        got = init_denoiser_params(cfg, seed)
+        want = init_denoiser_params_reference(cfg, seed)
+        assert list(got) == list(want)
+        for name, w in want.items():
+            assert got[name].shape == w.shape, name
+            assert got[name].tobytes() == w.tobytes(), name
 
     def test_default_parameter_count_under_budget(self):
         p = init_denoiser_params(DenoiserConfig(), seed=0)

@@ -46,9 +46,12 @@ class TestConfig:
         assert back == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
-        (tmp_path / "c.cfg").write_text("bogus=1\n")
-        with pytest.raises(ValueError):
-            TrainConfig.load(tmp_path / "c.cfg")
+        # gamma, once written into .config files, is as unknown as any other
+        for line in ("bogus=1", "gamma=4.0"):
+            (tmp_path / "c.cfg").write_text(line + "\n")
+            key = line.partition("=")[0]
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                TrainConfig.load(tmp_path / "c.cfg")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         (tmp_path / "c.cfg").write_text("# comment\n\nT=55\n")
@@ -81,19 +84,6 @@ class TestConfig:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             TrainConfig().K = 4096
-
-    def test_retired_keys_skipped(self, tmp_path):
-        # the format written before gamma, img_size and upsampler_condition
-        # were removed: they load and change nothing
-        cfg = toy_config(seed=3)
-        cfg.save(tmp_path / "new.cfg")
-        lines = (tmp_path / "new.cfg").read_text().splitlines()
-        old = (lines[:9] + ["gamma=2.5"] + lines[9:16] + ["img_size=16"]
-               + lines[16:] + ["upsampler_condition=sampled"])
-        (tmp_path / "old.cfg").write_text("\n".join(old) + "\n")
-        assert TrainConfig.load(tmp_path / "old.cfg") == cfg
-        assert len(dataclasses.fields(TrainConfig)) == 17
-        assert not any(hasattr(cfg, k) for k in P.RETIRED_KEYS)
 
     def test_schedule_per_stage(self):
         cfg = toy_config()
