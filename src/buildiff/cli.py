@@ -8,12 +8,12 @@ training step or a non-finite model output while sampling).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import sys
 from pathlib import Path
 
-from .conditioner import encode, load_pgm
+from . import tensor
+from .conditioner import check_silhouette_size, encode, load_pgm
 from .datagen import build_dataset
 from .diffusion import sample_base, sample_upsampled
 from .denoiser import make_model
@@ -93,10 +93,7 @@ def _cmd_sample(args) -> int:
     for stage in ["autoencoder", "base"] + (["upsampler"] if args.high_res else []):
         trained_checkpoint(ckpt_dir, stage)
     img = load_pgm(args.image)
-    if img.height != img.width or img.height % 8:
-        raise ValueError(f"{args.image}: silhouette is {img.height}x{img.width}; "
-                         f"the auto-encoder takes square images whose side "
-                         f"is a multiple of 8")
+    check_silhouette_size(img, f"{args.image}: silhouette")
     cfg = TrainConfig.load(ckpt_dir / "base.config")
     if args.high_res:
         up_cfg = TrainConfig.load(ckpt_dir / "upsampler.config")
@@ -253,29 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
-M_MMAP_THRESHOLD = -3
-
-
-def _keep_heap_warm() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
-
-    By default glibc serves each block of 128 KiB or more with its own mmap
-    and only raises that threshold after such a block is freed. A fresh
-    process would then unmap and fault in again the ~1 MB arrays that every
-    denoiser call frees. A no-op where libc has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_heap_warm()
+    tensor.keep_heap_warm()
     try:
         return args.fn(args)
     except StageDependencyError as exc:

@@ -159,6 +159,15 @@ def ae_shapes(d: int, img_size: int) -> dict[str, tuple[int, ...]]:
     }
 
 
+def check_silhouette_size(img: SilhouetteImage, where: str) -> None:
+    """Raise ValueError naming `where` unless img is square with a side
+    that is a multiple of 8, the only images the auto-encoder takes."""
+    if img.height != img.width or img.height % 8:
+        raise ValueError(f"{where} is {img.height}x{img.width}; the "
+                         f"auto-encoder takes square images whose side is "
+                         f"a multiple of 8")
+
+
 def init_ae_params(d: int, img_size: int, seed: int) -> dict[str, np.ndarray]:
     """Uniform Kaiming weights at fan_in = their row count; zero biases."""
     rng = np.random.default_rng(seed)

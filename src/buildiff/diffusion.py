@@ -76,6 +76,7 @@ def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
     random stream is the same for every K. Deterministic in
     (seed, gamma, model).
     """
+    T.keep_heap_warm()
     K = fixed.shape[0]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((N, 3))

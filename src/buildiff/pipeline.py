@@ -18,8 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (CheckpointError, check_records, load_params, replaced,
                          save_params)
-from .conditioner import (ae_shapes, encode, init_ae_params, load_pgm,
-                          train_autoencoder)
+from .conditioner import (SilhouetteImage, ae_shapes, check_silhouette_size,
+                          encode, init_ae_params, load_pgm, train_autoencoder)
 from .denoiser import (DenoiserConfig, denoise_graph, denoiser_shapes,
                        init_denoiser_params)
 from .diffusion import forward_noise, reconstruct_x0
@@ -27,10 +27,19 @@ from .datagen import DatasetManifest
 from .geometry import (PointCloud, farthest_point_sample, load_bpc,
                        nearest_indices)
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, lambda_weight, linear_beta_schedule
+from .schedule import (SIGMA_MODES, NoiseSchedule, lambda_weight,
+                       linear_beta_schedule)
+
+T_MAX = 100_000  # the most steps a stage's noise schedule may have
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings, checked when built: a bad value raises ValueError
+    naming its key. The checks build no array; T and T_upsampler are
+    bounded by T_MAX, 100 times the paper's T, so that a stage's noise
+    schedule always fits in memory."""
+
     T: int = 1000
     T_upsampler: int = 500
     beta_1: float = 0.0001
@@ -50,9 +59,14 @@ class TrainConfig:
     checkpoint_interval: int = 10  # epochs
 
     def __post_init__(self):
-        self.schedule("base")  # checks T, 0 < beta_1 < beta_T < 1, sigma_mode
         for ok, rule in (
-                (self.T_upsampler >= 2, f"T_upsampler >= 2, got {self.T_upsampler}"),
+                (2 <= self.T <= T_MAX, f"2 <= T <= {T_MAX}, got {self.T}"),
+                (2 <= self.T_upsampler <= T_MAX,
+                 f"2 <= T_upsampler <= {T_MAX}, got {self.T_upsampler}"),
+                (0 < self.beta_1 < self.beta_T < 1,
+                 f"0 < beta_1 < beta_T < 1, got {self.beta_1}, {self.beta_T}"),
+                (self.sigma_mode in SIGMA_MODES,
+                 f"sigma_mode in {SIGMA_MODES}, got {self.sigma_mode!r}"),
                 (1 <= self.K < self.N, f"1 <= K < N, got K={self.K}, N={self.N}"),
                 (self.d >= 2 and self.d % 2 == 0, f"an even d >= 2, got {self.d}"),
                 (self.batch_size >= 1, f"batch_size >= 1, got {self.batch_size}"),
@@ -289,6 +303,26 @@ def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
     return rows
 
 
+def _training_silhouettes(dataset_dir: Path) -> list[tuple[dict, SilhouetteImage]]:
+    """The dataset's training rows, each with its silhouette. The
+    silhouettes must be square, of one common side, and that side a
+    multiple of 8 (see check_silhouette_size); any other raises ValueError
+    naming the manifest and the silhouette."""
+    manifest = dataset_dir / "manifest.json"
+    out = []
+    for row in _load_dataset(dataset_dir, "train"):
+        path = row["silhouette_path"]
+        img = load_pgm(path)
+        check_silhouette_size(img, f"{manifest}: training silhouette {path}")
+        if out and img.height != out[0][1].height:
+            first, side = out[0][0]["silhouette_path"], out[0][1].height
+            raise ValueError(f"{manifest}: training silhouette {path} is "
+                             f"{img.height}x{img.width}, but {first} is "
+                             f"{side}x{side}; the auto-encoder takes one side")
+        out.append((row, img))
+    return out
+
+
 class _DirLock:
     """`.lock` in a checkpoint directory, holding its owner's pid; it is
     never taken from another run, even one that no longer runs."""
@@ -421,14 +455,14 @@ def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
     """(n cloud rows, silhouette embedding) per training building; the rows
     are drawn without replacement, seeded by config.seed and the id."""
     data = []
-    for row in _load_dataset(Path(dataset_dir), "train"):
+    for row, img in _training_silhouettes(Path(dataset_dir)):
         cloud = load_bpc(row["cloud_path"])
         if cloud.count < n:
             raise ValueError(f"{row['cloud_path']} has {cloud.count} points, "
                              f"fewer than the {n} the stage draws")
         sub_rng = np.random.default_rng(config.seed ^ zlib.crc32(row["id"].encode()))
         idx = sub_rng.choice(cloud.count, size=n, replace=False)
-        emb = encode(ae_params, load_pgm(row["silhouette_path"]))
+        emb = encode(ae_params, img)
         data.append((cloud.points[idx], emb))
     return data
 
@@ -451,10 +485,12 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     """Train one stage to completion; returns the checkpoint path.
 
     Every stage runs through this one epoch loop: one permutation of its
-    data per epoch, cut into logged steps. Diffusion stages read the frozen
-    auto-encoder (load_stage_params, at config.d and the first training
-    silhouette's side); the upsampler also needs the base checkpoint to
-    exist. `<stage>.config` is written once, before the first step.
+    data per epoch, cut into logged steps. It first keeps the heap warm
+    (tensor.keep_heap_warm) and checks the training silhouettes
+    (_training_silhouettes). Diffusion stages read the frozen auto-encoder
+    (load_stage_params, at config.d and the silhouettes' side); the
+    upsampler also needs the base checkpoint to exist. `<stage>.config` is
+    written once, before the first step.
     Checkpoints are written every config.checkpoint_interval epochs, each
     in one commit point, and capture optimizer and RNG state for bitwise
     resumption. The step log `<stage>.log.jsonl` starts empty, or on
@@ -462,9 +498,11 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     FloatingPointError is raised again naming the stage, epoch, step and
     the checkpoint this run left, if any.
     """
+    T.keep_heap_warm()
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     dataset_dir = Path(dataset_dir)
+    silhouettes = [img for _, img in _training_silhouettes(dataset_dir)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{stage}.bdif"
@@ -475,8 +513,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
         # step (a whole epoch for the auto-encoder, one Adam step per image),
         # seed offset, and a step returning its loss and its log line
         if stage == "autoencoder":
-            data = [load_pgm(r["silhouette_path"])
-                    for r in _load_dataset(dataset_dir, "train")]
+            data = silhouettes
             params = init_ae_params(config.d, data[0].height, config.seed)
             epochs, per_step, offset = config.epochs_ae, len(data), 1
 
@@ -491,9 +528,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                 "upsampler": (prepare_upsampler_data, config.epochs_upsampler, 20),
             }[stage]
             # the auto-encoder is freed once it has encoded the data
-            first = _load_dataset(dataset_dir, "train")[0]["silhouette_path"]
             data = prepare(dataset_dir, config, load_stage_params(
-                out_dir, "autoencoder", config.d, load_pgm(first).height))
+                out_dir, "autoencoder", config.d, silhouettes[0].height))
             params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
             per_step, schedule = config.batch_size, config.schedule(stage)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SIGMA_MODES = ("large", "posterior")
+
 
 class NoiseSchedule:
     """Linear beta schedule with derived alpha / alpha-bar / sigma sequences.

@@ -13,10 +13,14 @@ except that a (1, C) row is added to every row of a (K, C) array by
 the bias of ``linear`` and ``dense`` and by ``add``; no other op
 broadcasts. A tape is walked once, and the walk frees each entry as it
 passes it.
+
+The module also holds ``keep_heap_warm``, the one allocator setting for
+the arrays these ops make, which every entry point calls.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from typing import Callable, Sequence
 
@@ -326,3 +330,26 @@ def reshape(a: np.ndarray, shape) -> np.ndarray:
     shape = tuple(shape)
     return _make([a], a.reshape(shape), lambda g: (g.reshape(a.shape),))
 
+
+M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
+
+
+def keep_heap_warm() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    By default glibc serves each block of 128 KiB or more with its own mmap
+    and only raises that threshold after such a block is freed, and it
+    trims the heap top whenever 128 KiB lie free there. A process would
+    then unmap and fault in again the 1-4 MB arrays that every denoiser
+    call and every training sample's backward walk free. `run_training`,
+    the sampling chain and `cli.main` call this first. The setting is
+    process-wide and lasts for the life of the process; calling it again
+    changes nothing. A no-op where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)

@@ -153,6 +153,34 @@ class TestTrainOrdering:
         assert all(w in err for w in want), err
         assert tree_bytes(ck) == before
 
+    @pytest.mark.parametrize("stage", ["ae", "base"])
+    @pytest.mark.parametrize("shape, want", [
+        ((16, 24), "is 16x24; the auto-encoder takes square images"),
+        ((12, 12), "is 12x12; the auto-encoder takes square images whose "
+                   "side is a multiple of 8"),
+        ((24, 24), "is 24x24, but {first} is 16x16; the auto-encoder takes "
+                   "one side"),
+    ], ids=["not-square", "side-not-multiple-of-8", "mixed-sides"])
+    def test_bad_training_silhouette_exits_3_naming_it(
+            self, dataset, tmp_path, capsys, stage, shape, want):
+        """Every training silhouette is checked before any stage starts:
+        the error names the manifest and the silhouette, and nothing is
+        written."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.json"
+        train = [data / e["silhouette"] for e in
+                 json.loads(manifest.read_text())["entries"] if e["split"] == "train"]
+        save_pgm(train[-1], SilhouetteImage(np.zeros(shape)))
+        capsys.readouterr()
+        out = tmp_path / "ck"
+        assert run([f"train-{stage}", "--dataset", str(data), "--out", str(out),
+                    "--seed", "0"] + TINY_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: training silhouette "
+                              f"{train[-1]} {want.format(first=train[0])}"), err
+        assert not out.exists()
+
     def test_missing_dataset_exits_3(self, tmp_path):
         assert run(["train-ae", "--dataset", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "ck")] + TINY_TRAIN) == 3
@@ -364,7 +392,7 @@ class TestConfig:
         "checkpoint_interval=0", "K=4096", "d=7", "batch_size=0", "sigma_mode=big",
         "K=abc", "seed=-1", "lr=nan", "lr=inf", "lr=-1", "lr=0", "drop_prob=1.5",
         "drop_prob=-0.1", "rho=nan", "rho=-1", "epochs_ae=-3", "epochs_base=-1",
-        "epochs_upsampler=-2"])
+        "epochs_upsampler=-2", "T=100000000000", "T_upsampler=100000000000"])
     def test_bad_value_exits_3_before_writing(self, dataset, tmp_path, capsys,
                                               via, bad):
         out = tmp_path / "ck"

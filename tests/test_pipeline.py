@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import buildiff.pipeline as P
 from buildiff import tensor as T
@@ -21,7 +22,7 @@ from buildiff.optim import AdamState, adam_step
 from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, sample_losses,
                                toy_config, train_step)
-from buildiff.schedule import lambda_weight, linear_beta_schedule
+from buildiff.schedule import SIGMA_MODES, lambda_weight, linear_beta_schedule
 from oracles import finite_diff_grad, train_autoencoder_reference
 
 SCH = linear_beta_schedule(100)
@@ -81,6 +82,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^--set: K='abc' is not a valid int"):
             TrainConfig().with_lines(["K=abc"], "--set")
 
+    @pytest.mark.parametrize("key", ["T", "T_upsampler"])
+    def test_steps_above_bound_rejected_without_building_a_schedule(
+            self, monkeypatch, key):
+        """A step count far beyond memory fails its check naming the key;
+        no config check builds a noise schedule."""
+        def no_schedule(*args):
+            raise AssertionError("a config check built a noise schedule")
+
+        monkeypatch.setattr(P, "linear_beta_schedule", no_schedule)
+        cfg = TrainConfig().with_lines([f"{key}={P.T_MAX}"], "--set")
+        assert getattr(cfg, key) == P.T_MAX
+        with pytest.raises(ValueError, match=rf"^--set: need 2 <= {key} <= "
+                                             rf"{P.T_MAX}, got 100000000000$"):
+            TrainConfig().with_lines([f"{key}=100000000000"], "--set")
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             TrainConfig().K = 4096
@@ -94,6 +110,37 @@ class TestConfig:
             assert got.T == T_stage
             np.testing.assert_array_equal(got.betas, want.betas)
             np.testing.assert_array_equal(got.sigmas, want.sigmas)
+
+
+def config_line(key):
+    """`key=value` lines whose value is often of the key's type."""
+    typed = {int: st.integers(-5, 2 * P.T_MAX), float: st.floats(),
+             str: st.sampled_from(SIGMA_MODES)}[type(getattr(TrainConfig(), key))]
+    return st.one_of(typed.map(str), st.text(max_size=12)).map(f"{key}=".__add__)
+
+
+config_lines = st.one_of(
+    st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]).flatmap(config_line),
+    st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(config_lines, max_size=4),
+       base=st.sampled_from([TrainConfig(), toy_config()]))
+def test_with_lines_gives_a_sound_config_or_a_named_error(lines, base, tmp_path_factory):
+    """Any key=value lines give a config that saves, loads back equal and
+    builds both schedules, or a ValueError naming the source."""
+    try:
+        cfg = base.with_lines(lines, "fuzz.cfg")
+    except ValueError as exc:
+        assert str(exc).startswith("fuzz.cfg: "), exc
+        return
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+    cfg.save(path)
+    assert TrainConfig.load(path) == cfg
+    for stage, steps in (("base", cfg.T), ("upsampler", cfg.T_upsampler)):
+        assert 2 <= steps <= P.T_MAX
+        assert cfg.schedule(stage).T == steps
 
 
 @pytest.fixture
