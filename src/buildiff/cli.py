@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from . import tensor
@@ -86,6 +87,7 @@ def _cmd_train(stage: str):
 
 
 def _cmd_sample(args) -> int:
+    start = time.perf_counter()
     out = Path(args.out)
     saver = _cloud_saver(out)
     ckpt_dir = Path(args.checkpoints)
@@ -131,11 +133,13 @@ def _cmd_sample(args) -> int:
         tdir.mkdir(parents=True, exist_ok=True)
         for t, snap in snapshots:
             save_ply(tdir / f"trace_{t:05d}.ply", PointCloud(snap))
-    print(f"seed={args.seed} gamma={args.gamma} steps={steps} -> {out}")
+    print(f"seed={args.seed} gamma={args.gamma} steps={steps} -> {out} "
+          f"in {time.perf_counter() - start:.2f} s")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
+    start = time.perf_counter()
     pred_dir = Path(args.pred)
     ref_dir = Path(args.ref)
 
@@ -178,7 +182,8 @@ def _cmd_eval(args) -> int:
         print(f"{pair_id:>12} {rep.cd_scaled:>10.4f} {rep.emd_scaled:>10.4f} "
               f"{rep.f1:>8.3f}")
     print(f"{'mean':>12} {summary['cd_scaled']:>10.4f} "
-          f"{summary['emd_scaled']:>10.4f} {summary['f1']:>8.3f}")
+          f"{summary['emd_scaled']:>10.4f} {summary['f1']:>8.3f} "
+          f"in {time.perf_counter() - start:.2f} s")
     return EXIT_OK
 
 

@@ -64,7 +64,7 @@ def farthest_point_sample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
     t = np.empty(n)
     for i in range(k):
         if i:
-            chosen[i] = np.argmax(dist)
+            chosen[i] = dist.argmax()
         p = chosen[i]
         np.subtract(x, x[p], out=d)
         np.multiply(d, d, out=d)

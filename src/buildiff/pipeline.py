@@ -31,14 +31,25 @@ from .schedule import (SIGMA_MODES, NoiseSchedule, lambda_weight,
                        linear_beta_schedule)
 
 T_MAX = 100_000  # the most steps a stage's noise schedule may have
+D_MAX = 1024     # the widest condition and time embedding d
+N_MAX = 65_536   # the most points an upsampled cloud may have
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """A run's settings, checked when built: a bad value raises ValueError
-    naming its key. The checks build no array; T and T_upsampler are
-    bounded by T_MAX, 100 times the paper's T, so that a stage's noise
-    schedule always fits in memory."""
+    naming its key. The checks build no array. Each size is bounded so
+    that the arrays it sets fit in memory:
+    - T and T_upsampler by T_MAX, 100 times the paper's T, for a stage's
+      noise schedule;
+    - d by D_MAX, 8 times the paper's d: the denoiser's (2d, d) fuse
+      weight then takes 16 MiB, and Adam keeps two more of each weight;
+    - N by N_MAX, 16 times the paper's N: one (N, 128) point-feature
+      array of the upsampler then takes 64 MiB, and a training sample
+      keeps several; K by K < N.
+    1 - beta_1 must round below 1.0 in float64 (beta_1 above about
+    5.6e-17): otherwise alpha_bar(1) is 1.0 and every sampling step at
+    t = 1 divides 0 by 0."""
 
     T: int = 1000
     T_upsampler: int = 500
@@ -65,10 +76,14 @@ class TrainConfig:
                  f"2 <= T_upsampler <= {T_MAX}, got {self.T_upsampler}"),
                 (0 < self.beta_1 < self.beta_T < 1,
                  f"0 < beta_1 < beta_T < 1, got {self.beta_1}, {self.beta_T}"),
+                (1.0 - self.beta_1 < 1.0,
+                 f"1 - beta_1 < 1 in float64, got beta_1={self.beta_1}"),
                 (self.sigma_mode in SIGMA_MODES,
                  f"sigma_mode in {SIGMA_MODES}, got {self.sigma_mode!r}"),
                 (1 <= self.K < self.N, f"1 <= K < N, got K={self.K}, N={self.N}"),
-                (self.d >= 2 and self.d % 2 == 0, f"an even d >= 2, got {self.d}"),
+                (self.N <= N_MAX, f"N <= {N_MAX}, got N={self.N}"),
+                (2 <= self.d <= D_MAX and self.d % 2 == 0,
+                 f"an even d in 2..{D_MAX}, got {self.d}"),
                 (self.batch_size >= 1, f"batch_size >= 1, got {self.batch_size}"),
                 (self.checkpoint_interval >= 1,
                  f"checkpoint_interval >= 1, got {self.checkpoint_interval}"),

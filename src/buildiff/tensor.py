@@ -114,6 +114,11 @@ class Tape:
                 for t in wrt]
 
 
+def recording() -> bool:
+    """Whether ops record, on a Tape entered in this thread."""
+    return getattr(_tls, "tape", None) is not None
+
+
 def _make(inputs, value, backward_fn) -> np.ndarray:
     # numpy returns a 0-d result (of add, mul, scale or mse's mean) as an
     # np.float64 scalar; the tape and the callers want an array
@@ -188,7 +193,7 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a * LEAKY_SLOPE
     np.maximum(a, out, out=out)
     under = None
-    if getattr(_tls, "tape", None) is not None and not out.all():
+    if recording() and not out.all():
         under = np.flatnonzero((out == 0) & (a < 0))
 
     def bwd(g):

@@ -392,7 +392,9 @@ class TestConfig:
         "checkpoint_interval=0", "K=4096", "d=7", "batch_size=0", "sigma_mode=big",
         "K=abc", "seed=-1", "lr=nan", "lr=inf", "lr=-1", "lr=0", "drop_prob=1.5",
         "drop_prob=-0.1", "rho=nan", "rho=-1", "epochs_ae=-3", "epochs_base=-1",
-        "epochs_upsampler=-2", "T=100000000000", "T_upsampler=100000000000"])
+        "epochs_upsampler=-2", "T=100000000000", "T_upsampler=100000000000",
+        "beta_1=1e-300", "beta_1=5e-17", "d=1026", "d=1000000000", "N=65537",
+        "N=1000000000", "K=1000000000"])
     def test_bad_value_exits_3_before_writing(self, dataset, tmp_path, capsys,
                                               via, bad):
         out = tmp_path / "ck"
@@ -657,7 +659,11 @@ class TestSample:
         assert run(["sample", "--checkpoints", str(ck), "--image", str(img),
                     "--out", str(out), "--seed", "2", "--high-res"]) == 0
         assert load_bpc(out).count == 128
-        assert " steps=16 " in capsys.readouterr().out  # T=10 base + 6 upsampler
+        (line,) = capsys.readouterr().out.splitlines()
+        assert " steps=16 " in line  # T=10 base + 6 upsampler
+        # the last words are the command's wall time
+        assert re.fullmatch(rf"seed=2 gamma=4.0 steps=16 -> {re.escape(str(out))}"
+                            r" in \d+\.\d\d s", line)
 
     def test_high_res_k_mismatch_exits_4(self, base_at_n256, tmp_path, capsys):
         ck, img = self._with_upsampler(base_at_n256, tmp_path, ["--set", "K=8"])
@@ -701,7 +707,7 @@ class TestEval:
             save_bpc(ref / f"{i}.bpc", PointCloud(rng.uniform(-1, 1, (24, 3))))
         return pred, ref
 
-    def test_report_and_summary(self, tmp_path):
+    def test_report_and_summary(self, tmp_path, capsys):
         pred, ref = self.make_dirs(tmp_path, ["a", "b"], ["a", "b"])
         out = tmp_path / "r.jsonl"
         assert run(["eval", "--pred", str(pred), "--ref", str(ref),
@@ -709,6 +715,9 @@ class TestEval:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == ["a", "b", "__summary__"]
         assert rows[-1]["n_pairs"] == 2
+        # the summary line ends with the command's wall time
+        *_, mean = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r" +mean( +\S+){3} in \d+\.\d\d s", mean)
 
     def test_unmatched_ids_exit_4(self, tmp_path, capsys):
         pred, ref = self.make_dirs(tmp_path, ["a", "b"], ["a", "c"])

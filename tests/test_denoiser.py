@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from buildiff import tensor as T
+from buildiff import denoiser
 from buildiff.denoiser import (DenoiserConfig, denoise_graph,
-                               fuse_conditions, init_denoiser_params,
-                               make_model)
-from buildiff.diffusion import sample_base
+                               fuse_conditions, init_denoiser_params, join_max,
+                               make_model, time_features)
+from buildiff.diffusion import sample_base, sample_upsampled
+from buildiff.geometry import PointCloud
 from buildiff.schedule import linear_beta_schedule
 from oracles import finite_diff_grad, init_denoiser_params_reference
 
@@ -207,7 +209,6 @@ class TestForward:
     def test_make_model_looks_up_denoise_graph_per_call(self, monkeypatch):
         """A wrapper patched into the module after make_model sees the
         sampling calls, as the benchmark's tracer patches it."""
-        from buildiff import denoiser
         model = make_model(randomize_output_layer(small_params()))
         seen = []
 
@@ -238,7 +239,8 @@ def concat_forward(params, xt, t, z_I, w1=None):
     h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
     ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
     ctx = T.gather_rows(ctx, rows)
-    fused = T.gather_rows(fuse_conditions(params, z_I, t), rows)
+    fused = T.gather_rows(fuse_conditions(params, z_I, time_features(params, t)),
+                          rows)
     feat = T.concat_last_axis([h, ctx, fused])
     out = T.leaky_relu(T.linear(feat, w1, params["dec.b1"]))
     out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
@@ -323,11 +325,12 @@ class TestFactoredForward:
             denoise_graph(p, xt, 6, z, guided=True)
         with T.Tape() as single:
             denoise_graph(p, xt, 6, z)
-        for name in ("point.w1", "point.w2", "dec.w1h", "dec.w1c"):
+        for name in ("point.w1", "point.w2", "dec.w1h", "dec.w1c", "time.w1",
+                     "time.w2"):
             assert uses(guided, name) == uses(single, name) == 1, name
-        # the point MLP, the max-pool context, ctx@W_ctx and the product
-        # hw = h@W_h are shared; each branch adds its bias row to hw and
-        # runs the rest of the decoder
+        # the point MLP, the max-pool context, ctx@W_ctx, the time MLP and
+        # the product hw = h@W_h are shared; each branch adds its bias row
+        # to hw and runs the rest of the decoder
         hw = next(e.output for e in guided.entries
                   if any(x is p["dec.w1h"] for x in e.inputs))
         assert uses(guided, hw) == 2
@@ -351,8 +354,9 @@ class TestFactoredForward:
     def test_tape_entries_per_call(self, recorded_ops):
         """One op per layer, its activation included, and no gather of
         weight rows: at the toy config (K=256, d=32) a plain call records
-        14 tape entries and a guided call 27: one shared h@W_h product, then
-        one bias-row add and its leaky ReLU per branch."""
+        14 tape entries and a guided call 25: one shared h@W_h product and
+        one shared time MLP (two entries), then one bias-row add and its
+        leaky ReLU per branch."""
         p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
         rng = np.random.default_rng(16)
         xt = rng.normal(size=(256, 3))
@@ -362,7 +366,7 @@ class TestFactoredForward:
         assert recorded_ops() == 14
         with T.Tape():
             denoise_graph(p, xt, 7, z, guided=True)
-        assert recorded_ops() == 14 + 27
+        assert recorded_ops() == 14 + 25
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())
@@ -373,11 +377,141 @@ class TestFactoredForward:
         np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-12)
 
 
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.fixture
+def point_mlp_rows(monkeypatch):
+    """The row count of each point-MLP run, in order."""
+    rows = []
+    run = denoiser.point_features
+
+    def counting(params, x):
+        rows.append(x.shape[0])
+        return run(params, x)
+
+    monkeypatch.setattr(denoiser, "point_features", counting)
+    return rows
+
+
+class TestFixedRows:
+    def test_model_equals_full_graph_at_paper_size(self):
+        """make_model's split point MLP, rows :K once and rows K: per
+        call, gives the bits of the all-row graph, guided and plain, on a
+        fresh and on a cached fixed block: this pins the BLAS row split."""
+        K, N = 1024, 4096
+        p = randomize_output_layer(init_denoiser_params(DenoiserConfig(), seed=5))
+        model = make_model(p, K)
+        rng = np.random.default_rng(19)
+        xt = rng.normal(size=(N, 3))
+        z = rng.normal(size=128)
+        for t in (6, 5):
+            for got, want in zip(model(xt, t, z, guided=True),
+                                 denoise_graph(p, xt, t, z, guided=True, K=K)):
+                assert bits(got) == bits(want), t
+            for cond in (z, None):
+                assert bits(model(xt, t, cond)) == bits(
+                    denoise_graph(p, xt, t, cond, K=K)), t
+            xt[K:] = rng.normal(size=(N - K, 3))
+
+    def test_join_max_is_the_all_row_rule(self):
+        """Every pair of two-row blocks from numbers, both zeros and NaNs
+        of three bit patterns: the joined maxima of rows :2 and rows 2:
+        are bitwise reduce_max_over_points over all four rows."""
+        neg_nan = np.copysign(np.nan, -1.0)
+        payload_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]
+        pool = [-1.0, -0.0, 0.0, 1.0, np.nan, neg_nan, payload_nan]
+        blocks = [(a, b) for a in pool for b in pool]
+        cols = [[*f, *r] for f in blocks for r in blocks]
+        a = np.array(cols).T.copy()
+        got = join_max(T.reduce_max_over_points(a[:2]),
+                       T.reduce_max_over_points(a[2:]))
+        want = T.reduce_max_over_points(a)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_chain_runs_point_mlp_on_fixed_rows_once(self, point_mlp_rows,
+                                                     monkeypatch):
+        """Over a 5-step guided upsampler chain the point MLP sees the K
+        fixed rows once and the N - K noisy rows once per step, each step
+        joins the two maxima with join_max, and the cloud is bitwise that
+        of a model that runs every call on all N rows."""
+        K, N = 16, 40
+        p = randomize_output_layer(small_params())
+        rng = np.random.default_rng(20)
+        lowres = PointCloud(rng.normal(size=(K, 3)))
+        z = rng.normal(size=8)
+        sch = linear_beta_schedule(5)
+        joins = []
+
+        def counting_join(first, second):
+            joins.append(first.shape)
+            return join_max(first, second)
+
+        monkeypatch.setattr(denoiser, "join_max", counting_join)
+        got, _ = sample_upsampled(make_model(p, K), z, lowres, N, 4.0, seed=3,
+                                  schedule=sch)
+        assert point_mlp_rows == [K] + [N - K] * 5
+        assert joins == [(SMALL.w2,)] * 5
+        point_mlp_rows.clear()
+
+        def full(xt, t, z_I, guided=False):
+            return denoise_graph(p, xt, t, z_I, guided=guided, K=K)
+
+        want, _ = sample_upsampled(full, z, lowres, N, 4.0, seed=3, schedule=sch)
+        assert point_mlp_rows == [N] * 5
+        assert bits(got.points) == bits(want.points)
+
+    def test_changed_fixed_bits_recompute(self, point_mlp_rows):
+        """A call whose rows :K differ in any bit from the last call's,
+        a -0.0 for a +0.0 included, runs the point MLP on them again; a
+        change in rows K: only does not."""
+        K = 4
+        p = randomize_output_layer(small_params())
+        model = make_model(p, K)
+        rng = np.random.default_rng(21)
+        xt = rng.normal(size=(10, 3))
+        xt[1, 2] = 0.0
+        z = rng.normal(size=8)
+        flipped = xt.copy()
+        flipped[1, 2] = -0.0
+        moved = xt.copy()
+        moved[K:] += 1.0
+        nudged = xt.copy()
+        nudged[K - 1, 0] = np.nextafter(nudged[K - 1, 0], np.inf)
+        calls = [xt, xt, moved, flipped, xt, nudged, nudged]
+        for x in calls:
+            assert bits(model(x, 3, z)) == bits(denoise_graph(p, x, 3, z, K=K))
+        fixed_runs = [r for r in point_mlp_rows if r == K]
+        assert len(fixed_runs) == 4  # xt, flipped, xt, nudged
+        assert point_mlp_rows.count(10 - K) == len(calls)
+        assert bits(model(xt.astype(np.float32), 3, z)) == bits(
+            denoise_graph(p, xt.astype(np.float32), 3, z, K=K))
+        assert point_mlp_rows.count(K) == 5
+
+    def test_fixed_max_needs_k_and_no_tape(self):
+        p = small_params()
+        xt = np.random.default_rng(22).normal(size=(6, 3))
+        with pytest.raises(ValueError, match="fixed_max"):
+            denoise_graph(p, xt, 3, None, fixed_max=np.zeros(SMALL.w2))
+        with T.Tape(), pytest.raises(ValueError, match="fixed_max"):
+            denoise_graph(p, xt, 3, None, K=2, fixed_max=np.zeros(SMALL.w2))
+
+    def test_model_on_a_tape_records_the_all_row_graph(self, point_mlp_rows):
+        p = randomize_output_layer(small_params())
+        xt = np.random.default_rng(23).normal(size=(6, 3))
+        with T.Tape() as tape:
+            out = make_model(p, 2)(xt, 3, None)
+        assert point_mlp_rows == [6]
+        assert tape.entries
+        assert bits(out) == bits(denoise_graph(p, xt, 3, None, K=2))
+
+
 class TestFuseConditions:
     def test_shape(self):
         p = small_params()
         with T.Tape():
-            out = fuse_conditions(p, np.zeros(8), 4)
+            out = fuse_conditions(p, np.zeros(8), time_features(p, 4))
         assert tuple(out.shape) == (1, 8)
 
 

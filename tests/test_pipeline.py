@@ -69,7 +69,9 @@ class TestConfig:
         ("seed", -1), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
         ("lr", 0.0), ("drop_prob", 1.5), ("drop_prob", -0.1),
         ("rho", float("nan")), ("rho", -1.0), ("epochs_ae", -3),
-        ("epochs_base", -1), ("epochs_upsampler", -2)])
+        ("epochs_base", -1), ("epochs_upsampler", -2), ("beta_1", 1e-300),
+        ("beta_1", 5e-17), ("d", P.D_MAX + 2), ("d", 10**9), ("N", P.N_MAX + 1),
+        ("N", 10**9), ("K", 10**9)])
     def test_bad_value_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             TrainConfig(**{key: value})
@@ -96,6 +98,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^--set: need 2 <= {key} <= "
                                              rf"{P.T_MAX}, got 100000000000$"):
             TrainConfig().with_lines([f"{key}=100000000000"], "--set")
+
+    def test_bounds_are_inclusive(self):
+        """The largest d and N and the smallest beta_1 that the checks let
+        through build a config; that beta_1 keeps alpha_bar below 1."""
+        cfg = TrainConfig(d=P.D_MAX, N=P.N_MAX, beta_1=2.0**-53)
+        assert (cfg.d, cfg.N) == (P.D_MAX, P.N_MAX)
+        assert cfg.schedule("base").alpha_bar(1) < 1.0
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -138,8 +147,10 @@ def test_with_lines_gives_a_sound_config_or_a_named_error(lines, base, tmp_path_
     path = tmp_path_factory.mktemp("cfg") / "c.cfg"
     cfg.save(path)
     assert TrainConfig.load(path) == cfg
+    assert cfg.d <= P.D_MAX and cfg.K < cfg.N <= P.N_MAX
     for stage, steps in (("base", cfg.T), ("upsampler", cfg.T_upsampler)):
         assert 2 <= steps <= P.T_MAX
+        assert cfg.schedule(stage).alpha_bar(1) < 1.0
         assert cfg.schedule(stage).T == steps
 
 
