@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -86,8 +87,23 @@ def _cmd_train(stage: str):
     return run
 
 
+def _check_sample_flags(args) -> None:
+    """Raise ValueError naming the flag for a non-finite --gamma or a trace
+    flag without its partner or below 1."""
+    if not math.isfinite(args.gamma):
+        raise ValueError(f"--gamma must be finite, got {args.gamma}")
+    if args.trace_stride is not None and args.trace_stride < 1:
+        raise ValueError(f"--trace-stride must be >= 1, got {args.trace_stride}")
+    if (args.trace_stride is None) != (args.trace_dir is None):
+        given, missing = (("--trace-stride", "--trace-dir")
+                          if args.trace_dir is None
+                          else ("--trace-dir", "--trace-stride"))
+        raise ValueError(f"{given} needs {missing}")
+
+
 def _cmd_sample(args) -> int:
     start = time.perf_counter()
+    _check_sample_flags(args)
     out = Path(args.out)
     saver = _cloud_saver(out)
     ckpt_dir = Path(args.checkpoints)
@@ -113,7 +129,7 @@ def _cmd_sample(args) -> int:
         """run(*chain_args), with a non-finite model output named by the
         stage and its checkpoint."""
         try:
-            return run(*chain_args, trace_stride=args.trace_stride)
+            return run(*chain_args, trace_stride=args.trace_stride or 0)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{stage} stage, {ckpt_dir / f'{stage}.bdif'}: {exc}") from None
@@ -128,7 +144,7 @@ def _cmd_sample(args) -> int:
                                  up_cfg.schedule("upsampler"))
         steps += up_cfg.T_upsampler
     saver(out, cloud)
-    if args.trace_stride and args.trace_dir:
+    if args.trace_dir is not None:
         tdir = Path(args.trace_dir)
         tdir.mkdir(parents=True, exist_ok=True)
         for t, snap in snapshots:
@@ -236,8 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=4.0)
     p.add_argument("--high-res", action="store_true",
                    help="run the upsampler stage after the base stage")
-    p.add_argument("--trace-stride", type=int, default=0)
-    p.add_argument("--trace-dir")
+    p.add_argument("--trace-stride", type=int, metavar="STRIDE",
+                   help="write the last chain's cloud every STRIDE steps "
+                        "and at t=0 (needs --trace-dir)")
+    p.add_argument("--trace-dir", metavar="DIR",
+                   help="directory for the trace_*.ply files")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("eval", help="evaluate prediction/reference pairs")

@@ -102,10 +102,12 @@ def augment(img: SilhouetteImage, seed: int) -> SilhouetteImage:
 # Feature maps are (H*W, C) arrays; convolution is an im2col gather (index
 # -1 marks zero padding) followed by an affine map with a (9*Cin, Cout)
 # kernel: dense where a leaky ReLU follows, linear for the output layer.
+# The gathers' index sets depend on the shape alone, so each is planned
+# once per process (see tensor.GatherPlan).
 
 
 @lru_cache(maxsize=None)
-def _conv_indices(h: int, w: int, stride: int, dilation: int) -> np.ndarray:
+def _conv_plan(h: int, w: int, stride: int, dilation: int) -> T.GatherPlan:
     rows = np.arange(0, h, stride)
     cols = np.arange(0, w, stride)
     idx = []
@@ -116,22 +118,22 @@ def _conv_indices(h: int, w: int, stride: int, dilation: int) -> np.ndarray:
                     rr = r + dr * dilation
                     cc = c + dc * dilation
                     idx.append(rr * w + cc if 0 <= rr < h and 0 <= cc < w else -1)
-    return np.array(idx, dtype=np.int64)
+    return T.GatherPlan(idx, h * w)
 
 
 @lru_cache(maxsize=None)
-def _upsample_indices(h: int, w: int) -> np.ndarray:
+def _upsample_plan(h: int, w: int) -> T.GatherPlan:
     out = np.empty((2 * h, 2 * w), dtype=np.int64)
     for r in range(2 * h):
         for c in range(2 * w):
             out[r, c] = (r // 2) * w + (c // 2)
-    return out.reshape(-1)
+    return T.GatherPlan(out.reshape(-1), h * w)
 
 
 def _im2col(x: np.ndarray, h: int, w: int, stride: int = 1,
             dilation: int = 1) -> np.ndarray:
     """The (n_out, 9 Cin) patch rows of an (h*w, Cin) feature map."""
-    cols = T.gather_rows(x, _conv_indices(h, w, stride, dilation))
+    cols = T.gather_rows(x, _conv_plan(h, w, stride, dilation))
     return T.reshape(cols, (cols.shape[0] // 9, 9 * x.shape[1]))
 
 
@@ -194,13 +196,13 @@ def _decode_graph(params, z: np.ndarray, img_size: int) -> np.ndarray:
     c1, c2, c3 = ENC_CHANNELS
     h = w = img_size // 8
     x = T.reshape(T.dense(z, params["dec.lin"], params["dec.linb"]), (h * w, c3))
-    x = T.gather_rows(x, _upsample_indices(h, w))
+    x = T.gather_rows(x, _upsample_plan(h, w))
     h *= 2; w *= 2
     x = T.dense(_im2col(x, h, w), params["dec.c1"], params["dec.b1"])
-    x = T.gather_rows(x, _upsample_indices(h, w))
+    x = T.gather_rows(x, _upsample_plan(h, w))
     h *= 2; w *= 2
     x = T.dense(_im2col(x, h, w), params["dec.c2"], params["dec.b2"])
-    x = T.gather_rows(x, _upsample_indices(h, w))
+    x = T.gather_rows(x, _upsample_plan(h, w))
     h *= 2; w *= 2
     x = T.linear(_im2col(x, h, w), params["dec.c3"], params["dec.b3"])
     return T.sigmoid(T.reshape(x, (h, w)))

@@ -207,9 +207,18 @@ def build_dataset(out_dir, n_train: int = 200, n_test: int = 50,
                   roof_mix: tuple[str, ...] = ("flat", "gable"),
                   n_points: int = 4096, resolution: int = 32,
                   seed: int = 0) -> DatasetManifest:
-    """Generate clouds + silhouettes + manifest under out_dir."""
+    """Generate clouds + silhouettes + manifest under out_dir. Every
+    argument is checked before anything is written."""
     if n_train < 1 or n_test < 1:
         raise ValueError("counts must be >= 1")
+    if n_points < 2:  # one point cannot be scaled to the unit cube
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if resolution < 8:
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
+    unknown = [r for r in roof_mix if r not in ROOF_TRIANGLES]
+    if unknown or not roof_mix:
+        raise ValueError(f"roof_mix {','.join(roof_mix)!r}: roof types are "
+                         f"{', '.join(ROOF_TRIANGLES)}")
     out = Path(out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
     (out / "silhouettes").mkdir(parents=True, exist_ok=True)

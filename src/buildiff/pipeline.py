@@ -11,6 +11,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,13 @@ def regularization_loss(x0: np.ndarray, x0_hat: np.ndarray, t: int,
     return T.scale(T.add(term1, term2), lam)
 
 
+@lru_cache(maxsize=None)
+def _shift_plan(N: int, K: int) -> T.GatherPlan:
+    """Rows 0..N-1 from an (N - K)-row array shifted down by K: padding in
+    rows :K."""
+    return T.GatherPlan(np.arange(N) - K, N - K)
+
+
 def sample_losses(params, x0: np.ndarray, fixed: np.ndarray, t: int,
                   eps: np.ndarray, z_I: np.ndarray | None,
                   schedule: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +229,7 @@ def sample_losses(params, x0: np.ndarray, fixed: np.ndarray, t: int,
     x0_hat = reconstruct_x0(xt[K:], t, eps_hat, schedule)
     if K:
         # index -1 gathers a zero row: zeros in rows :K, then add `fixed`
-        x0_hat = T.add(T.gather_rows(x0_hat, np.arange(N) - K),
+        x0_hat = T.add(T.gather_rows(x0_hat, _shift_plan(N, K)),
                        np.concatenate([fixed, np.zeros((N - K, 3))]))
     return L_eps, regularization_loss(x0, x0_hat, t, schedule)
 

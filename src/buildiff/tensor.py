@@ -288,28 +288,67 @@ def mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                  lambda g: (g.item() * 2.0 / n * d, g.item() * -2.0 / n * d))
 
 
-def gather_rows(a: np.ndarray, indices) -> np.ndarray:
-    """Select rows of a 2D array. A negative index yields a zero row
+class GatherPlan:
+    """The fixed part of gathering rows `indices` from an n-row array:
+    `src`, the indices with each negative (padding) index mapped to n, and,
+    built on first use for each channel count C, the (m*C) np.bincount
+    bins of gather_rows' backward. A caller whose indices do not change
+    keeps one plan (the auto-encoder's convolutions lru_cache theirs), so
+    that work is done once; a cached plan and its bins then live as long
+    as the process. `src` and the bins are read-only, as the plan may be
+    shared; two threads that build one count's bins at once make equal
+    arrays, and either is kept."""
+
+    __slots__ = ("n", "src", "_bins")
+
+    def __init__(self, indices, n: int):
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ShapeError(f"gather_rows: indices must be 1-D, got {idx.shape}")
+        if idx.size and idx.max() >= n:
+            raise IndexError(f"gather_rows: index {idx.max()} is out of "
+                             f"bounds for {n} rows")
+        self.n = n
+        self.src = np.where(idx >= 0, idx, n)
+        self.src.flags.writeable = False
+        self._bins: dict[int, np.ndarray] = {}
+
+    def bins(self, c: int) -> np.ndarray:
+        """The bin of each (row, channel) term of a gradient with c
+        channels: src * c + channel, padding rows in row n."""
+        bins = self._bins.get(c)
+        if bins is None:
+            bins = (self.src.reshape(-1, 1) * c + np.arange(c)).ravel()
+            bins.flags.writeable = False
+            self._bins[c] = bins
+        return bins
+
+
+def gather_rows(a: np.ndarray, rows) -> np.ndarray:
+    """Select rows of a 2D array by a GatherPlan, or by an index array,
+    which is wrapped in a fresh one. A negative index yields a zero row
     (used for implicit zero padding); gradient scatters to valid rows only.
 
-    The scatter is one np.bincount with a bin per (row, channel). It sums
-    each bin's terms in input order, starting from +0.0, so the gradient
-    is bit for bit that of accumulating g's rows one by one into zeros,
-    signs of zero included. A padding index goes to the extra row n,
-    which is sliced off."""
+    The forward takes the rows from a copy of a with one +0.0 row n
+    appended, which every padding index names. The scatter is one
+    np.bincount over the plan's bins, one per (row, channel). It sums each
+    bin's terms in input order, starting from +0.0, so the gradient is bit
+    for bit that of accumulating g's rows one by one into zeros, signs of
+    zero included. Padding terms go to the extra row n, which is sliced
+    off."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows expects 2D, got {a.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    valid = idx >= 0
-    safe = np.where(valid, idx, 0)
-    out = a[safe]
-    out[~valid] = 0.0
+    n, c = a.shape
+    plan = rows if isinstance(rows, GatherPlan) else GatherPlan(rows, n)
+    if plan.n != n:
+        raise ShapeError(f"gather_rows: plan for {plan.n} rows, got shape {a.shape}")
+    padded = np.empty((n + 1, c))
+    padded[:n] = a
+    padded[n] = 0.0
+    out = padded.take(plan.src, axis=0)
 
     def bwd(g):
-        n, c = a.shape
-        tgt = np.where(valid, idx, n).reshape(-1, 1)
-        bins = (tgt * c + np.arange(c)).ravel()
-        ga = np.bincount(bins, weights=g.ravel(), minlength=(n + 1) * c)
+        ga = np.bincount(plan.bins(c), weights=g.ravel(), minlength=(n + 1) * c)
         return (ga[:n * c].reshape(n, c),)
 
     return _make([a], out, bwd)

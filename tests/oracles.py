@@ -34,6 +34,41 @@ def finite_diff_grad(f: Callable[[list[np.ndarray]], float],
     return grads
 
 
+def gather_rows_reference(a: np.ndarray, indices) -> np.ndarray:
+    """tensor.gather_rows as it stood before GatherPlan, recording on the
+    current tape: a fancy-indexed copy of a whose padding (negative) rows
+    are then set to 0.0, and a backward that builds its np.bincount bins
+    on every call."""
+    from buildiff import tensor as T
+
+    if a.ndim != 2:
+        raise T.ShapeError(f"gather_rows expects 2D, got {a.shape}")
+    idx = np.asarray(indices, dtype=np.int64)
+    valid = idx >= 0
+    safe = np.where(valid, idx, 0)
+    out = a[safe]
+    out[~valid] = 0.0
+
+    def bwd(g):
+        n, c = a.shape
+        tgt = np.where(valid, idx, n).reshape(-1, 1)
+        bins = (tgt * c + np.arange(c)).ravel()
+        ga = np.bincount(bins, weights=g.ravel(), minlength=(n + 1) * c)
+        return (ga[:n * c].reshape(n, c),)
+
+    return T._make([a], out, bwd)
+
+
+def plan_indices(rows) -> np.ndarray:
+    """The index array behind a tensor.GatherPlan, -1 for each padding row;
+    any other argument as an int64 array."""
+    from buildiff import tensor as T
+
+    if isinstance(rows, T.GatherPlan):
+        return np.where(rows.src < rows.n, rows.src, -1)
+    return np.asarray(rows, dtype=np.int64)
+
+
 def train_autoencoder_reference(images, epochs: int, lr: float, d: int,
                                 seed: int) -> dict[str, np.ndarray]:
     """The auto-encoder's own training loop as it stood before the stage

@@ -110,6 +110,23 @@ class TestGenData:
                  "--seed", s])
         assert tree_bytes(tmp_path / "x") != tree_bytes(tmp_path / "y")
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--roof-mix", "flat,tower", "roof_mix 'flat,tower': roof types are "
+                                     "flat, gable, hip"),
+        ("--roof-mix", "", "roof_mix '': roof types are flat, gable, hip"),
+        ("--n-points", "0", "n_points must be >= 2, got 0"),
+        ("--n-points", "1", "n_points must be >= 2, got 1"),
+        ("--resolution", "4", "resolution must be >= 8, got 4"),
+    ])
+    def test_bad_argument_exits_3_before_writing(self, tmp_path, capsys,
+                                                 flag, value, message):
+        out = tmp_path / "ds"
+        assert run(["gen-data", "--out", str(out), "--n-train", "2",
+                    "--n-test", "1", "--n-points", "64", "--resolution", "16",
+                    flag, value]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrainOrdering:
     def test_base_before_ae_exits_2(self, dataset, tmp_path):
@@ -682,6 +699,32 @@ class TestSample:
                     "--image", str(img), "--out", str(tmp_path / "o.ply"),
                     "--trace-stride", "5", "--trace-dir", str(tdir)]) == 0
         assert len(list(tdir.glob("trace_*.ply"))) >= 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--gamma", "nan"], "--gamma must be finite, got nan"),
+        (["--gamma", "inf"], "--gamma must be finite, got inf"),
+        (["--gamma=-inf"], "--gamma must be finite, got -inf"),
+        (["--trace-stride", "5"], "--trace-stride needs --trace-dir"),
+        (["--trace-dir", "tr"], "--trace-dir needs --trace-stride"),
+        (["--trace-stride", "-3", "--trace-dir", "tr"],
+         "--trace-stride must be >= 1, got -3"),
+        (["--trace-stride", "0", "--trace-dir", "tr"],
+         "--trace-stride must be >= 1, got 0"),
+    ])
+    def test_bad_flag_exits_3_before_reading_checkpoints(self, dataset, tmp_path,
+                                                         capsys, flags, message):
+        """A bad flag is named before any file is read: here the checkpoint
+        directory does not exist, which would exit 2."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        flags = [str(tmp_path / f) if f == "tr" else f for f in flags]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--checkpoints", str(tmp_path / "none"),
+                        "--image", str(img), "--out", str(tmp_path / "o.ply"),
+                        "--high-res"] + flags) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_unsupported_out_format_exits_3(self, dataset, checkpoints,
                                             tmp_path, capsys):

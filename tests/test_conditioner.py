@@ -9,6 +9,7 @@ from buildiff.conditioner import (SilhouetteImage, _decode_graph, ae_loss,
 from buildiff.datagen import DatasetManifest, build_dataset
 from buildiff.optim import AdamState
 from buildiff.pipeline import TrainConfig, run_training
+from oracles import gather_rows_reference, plan_indices
 
 
 # malformed binary PGMs, each with a pattern of its IOError message
@@ -277,6 +278,45 @@ class TestTraining:
         b = self.train(images, epochs=2, lr=0.001, d=8, seed=3)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_two_epochs_bitwise_equal_to_reference_gather(self, size, monkeypatch):
+        """Training through the gather plans gives bit for bit the
+        parameters of training through the gather as it stood before
+        plans (tests/oracles.py)."""
+        images = self.make_images(n=3, size=size, seed=size)
+        planned = self.train(images, epochs=2, lr=0.002, d=8, seed=1)
+        calls = []
+
+        def reference(a, rows):
+            calls.append(rows)
+            return gather_rows_reference(a, plan_indices(rows))
+
+        monkeypatch.setattr(T, "gather_rows", reference)
+        reference_params = self.train(images, epochs=2, lr=0.002, d=8, seed=1)
+        # 3 images, 2 epochs, 4 + 4 encoder and 6 decoder gathers each
+        assert len(calls) == 3 * 2 * 14
+        assert planned.keys() == reference_params.keys()
+        for k in planned:
+            assert planned[k].tobytes() == reference_params[k].tobytes(), k
+
+    def test_each_gather_planned_once_per_shape(self):
+        """A 32 px encode and decode use 7 conv and 3 upsample plans; a
+        second pass builds none, and each plan builds its bins once."""
+        C._conv_plan.cache_clear()
+        C._upsample_plan.cache_clear()
+        params = init_ae_params(8, 32, seed=0)
+        img = self.make_images(n=1, size=32)[0]
+        for _ in range(2):
+            with T.Tape() as tape:
+                z = C._encode_graph(params, img.pixels)
+                loss = ae_loss(img.pixels, _decode_graph(params, z, 32), z, z)
+            tape.backward(loss, list(params.values()))
+        conv, up = C._conv_plan.cache_info(), C._upsample_plan.cache_info()
+        assert (conv.misses, conv.hits) == (7, 7)
+        assert (up.misses, up.hits) == (3, 3)
+        bins = C._conv_plan(32, 32, 1, 1).bins(8)
+        assert C._conv_plan(32, 32, 1, 1).bins(8) is bins
 
     def test_empty_dataset_rejected(self, tmp_path):
         """A dataset with no training entries is refused before anything is

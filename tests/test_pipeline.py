@@ -23,7 +23,8 @@ from buildiff.pipeline import (StageDependencyError, StepLog, TrainConfig,
                                regularization_loss, run_training, sample_losses,
                                toy_config, train_step)
 from buildiff.schedule import SIGMA_MODES, lambda_weight, linear_beta_schedule
-from oracles import finite_diff_grad, train_autoencoder_reference
+from oracles import (finite_diff_grad, gather_rows_reference, plan_indices,
+                     train_autoencoder_reference)
 
 SCH = linear_beta_schedule(100)
 
@@ -311,6 +312,41 @@ class TestUpsamplerLosses:
         assert L_reg.item() == 0.0
         # the denoiser call and the noise MSE
         assert recorded_ops() - n_denoise == n_denoise + 1
+
+    def test_shift_plan_bitwise_equal_to_reference_gather(self, monkeypatch):
+        """Both losses and every gradient of an upsampler sample with a
+        footprint term equal those made through the gather as it stood
+        before plans (tests/oracles.py); the shift-by-K plan is built once
+        per (N, K)."""
+        params = tiny_params()
+        x0, fixed = self.triple(N=40, K=12, seed=25)
+        eps = np.random.default_rng(26).standard_normal(x0.shape)
+        z = embedding(4)
+        names = sorted(params)
+
+        def run():
+            with T.Tape() as tape:
+                L_eps, L_reg = sample_losses(params, x0, fixed, 10, eps, z, SCH)
+                grads = tape.backward(T.add(L_eps, L_reg),
+                                      [params[n] for n in names])
+            return [L_eps, L_reg, *grads]
+
+        P._shift_plan.cache_clear()
+        planned = run()
+        run()
+        assert P._shift_plan.cache_info().misses == 1
+        calls = []
+
+        def reference(a, rows):
+            calls.append(rows)
+            return gather_rows_reference(a, plan_indices(rows))
+
+        monkeypatch.setattr(T, "gather_rows", reference)
+        want = run()
+        # the shift and the footprint's nearest-neighbour gather
+        assert len(calls) == 2
+        for got, ref in zip(planned, want, strict=True):
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("t", [10, 60])
     def test_gradient_matches_finite_differences(self, t):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from buildiff import conditioner as C, tensor as T
 from buildiff.optim import BETA1, BETA2, EPS, AdamState, adam_step
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, gather_rows_reference, plan_indices
 
 
 def test_mse_identity_is_zero():
@@ -537,9 +537,9 @@ def test_gather_rows_scatter_bitwise_on_ae_indices(monkeypatch):
     calls = []
     gather = T.gather_rows
 
-    def recording(a, indices):
-        calls.append((a, indices))
-        return gather(a, indices)
+    def recording(a, rows):
+        calls.append((a, plan_indices(rows)))
+        return gather(a, rows)
 
     monkeypatch.setattr(T, "gather_rows", recording)
     params = C.init_ae_params(8, 32, seed=0)
@@ -588,6 +588,63 @@ def test_gather_rows_scatter_non_contiguous_gradient():
     assert not g_out.flags.c_contiguous
     want = _add_at_scatter(a, idx, g[:, :3])
     assert np.array_equal(ga.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), c=st.integers(1, 9), m=st.integers(0, 80),
+       pad=st.floats(0.0, 0.6), zeros=st.floats(0.0, 0.6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_gather_plan_bitwise_equal_to_reference(n, c, m, pad, zeros, seed):
+    """A plan's output and gradient equal the reference gather's bit for
+    bit: indices with -1 padding and repeats, a source holding -0.0 and
+    NaN, gradients holding +0.0 and -0.0. One plan serves two channel
+    counts and a second call, whose bins it reuses."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=m)
+    idx[rng.random(m) < pad] = -1
+    plan = T.GatherPlan(idx, n)
+    for width in (c, c + 3, c):
+        a = rng.normal(size=(n, width))
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a[rng.random(a.shape) < 0.05] = np.nan
+        g = rng.normal(size=(m, width))
+        g[rng.random(g.shape) < zeros] = 0.0
+        g[rng.random(g.shape) < zeros] = -0.0
+        with T.Tape() as tape:
+            got = T.gather_rows(a, plan)
+            (got_g,) = tape.entries[-1].backward_fn(g)
+            want = gather_rows_reference(a, idx)
+            (want_g,) = tape.entries[-1].backward_fn(g)
+        assert got.shape == want.shape and got_g.shape == want_g.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+    assert plan.bins(c) is plan.bins(c)
+
+
+def test_gather_plan_maps_padding_to_row_n_and_is_read_only():
+    plan = T.GatherPlan([2, -1, 0, -5, 2], 3)
+    assert plan.src.tolist() == [2, 3, 0, 3, 2]
+    assert plan.bins(2).tolist() == [4, 5, 6, 7, 0, 1, 6, 7, 4, 5]
+    for arr in (plan.src, plan.bins(2)):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("rows,n,err", [
+    ([0, 3], 3, IndexError),            # past the last row
+    ([[0, 1]], 3, T.ShapeError),        # not 1-D
+])
+def test_gather_plan_bad_indices(rows, n, err):
+    with pytest.raises(err):
+        T.GatherPlan(rows, n)
+    with pytest.raises(err):
+        T.gather_rows(np.ones((n, 2)), rows)
+
+
+def test_gather_rows_plan_for_another_row_count():
+    plan = T.GatherPlan([0, -1], 3)
+    with pytest.raises(T.ShapeError, match="plan for 3 rows, got shape"):
+        T.gather_rows(np.ones((4, 2)), plan)
 
 
 def test_no_silent_broadcast():
