@@ -63,8 +63,8 @@ def main() -> int:
     for gamma in [float(g) for g in args.gammas.split(",")]:
         preds = []
         for i, (entry, z) in enumerate(zip(tests, embeddings)):
-            cloud, _ = sample_base(model, z, cfg.K, gamma,
-                                   seed=3000 + i, schedule=schedule)
+            cloud = sample_base(model, z, cfg.K, gamma,
+                                seed=3000 + i, schedule=schedule)
             norm = normalize_unit_cube(cloud)
             preds.append(roof_oracle(norm))
             if args.keep_samples:

@@ -125,30 +125,32 @@ def _cmd_sample(args) -> int:
         up_params = load_stage_params(ckpt_dir, "upsampler", up_cfg.d)
     z_I = encode(ae_params, img)
 
+    if args.trace_dir is not None:
+        Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
+
     def chain(stage, run, *chain_args):
-        """run(*chain_args), with a non-finite model output named by the
-        stage and its checkpoint."""
+        """run(*chain_args), writing the states --trace-stride selects, with
+        a non-finite model output named by the stage and its checkpoint."""
+        def on_step(t, x):
+            if t % args.trace_stride == 0 or t == 1:
+                save_ply(Path(args.trace_dir) / f"trace_{stage}_{t - 1:05d}.ply",
+                         PointCloud(x))
         try:
-            return run(*chain_args, trace_stride=args.trace_stride or 0)
+            return run(*chain_args,
+                       on_step=None if args.trace_dir is None else on_step)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{stage} stage, {ckpt_dir / f'{stage}.bdif'}: {exc}") from None
 
-    cloud, snapshots = chain("base", sample_base, make_model(base_params), z_I,
-                             cfg.K, args.gamma, args.seed, cfg.schedule("base"))
+    cloud = chain("base", sample_base, make_model(base_params), z_I, cfg.K,
+                  args.gamma, args.seed, cfg.schedule("base"))
     steps = cfg.T
     if args.high_res:
-        cloud, snapshots = chain("upsampler", sample_upsampled,
-                                 make_model(up_params, up_cfg.K), z_I, cloud,
-                                 up_cfg.N, args.gamma, args.seed + 1,
-                                 up_cfg.schedule("upsampler"))
+        cloud = chain("upsampler", sample_upsampled,
+                      make_model(up_params, up_cfg.K), z_I, cloud, up_cfg.N,
+                      args.gamma, args.seed + 1, up_cfg.schedule("upsampler"))
         steps += up_cfg.T_upsampler
     saver(out, cloud)
-    if args.trace_dir is not None:
-        tdir = Path(args.trace_dir)
-        tdir.mkdir(parents=True, exist_ok=True)
-        for t, snap in snapshots:
-            save_ply(tdir / f"trace_{t:05d}.ply", PointCloud(snap))
     print(f"seed={args.seed} gamma={args.gamma} steps={steps} -> {out} "
           f"in {time.perf_counter() - start:.2f} s")
     return EXIT_OK
@@ -253,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high-res", action="store_true",
                    help="run the upsampler stage after the base stage")
     p.add_argument("--trace-stride", type=int, metavar="STRIDE",
-                   help="write the last chain's cloud every STRIDE steps "
-                        "and at t=0 (needs --trace-dir)")
+                   help="write each chain's cloud every STRIDE steps and "
+                        "at t=0 (needs --trace-dir)")
     p.add_argument("--trace-dir", metavar="DIR",
-                   help="directory for the trace_*.ply files")
+                   help="directory for the trace_<chain>_*.ply files")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("eval", help="evaluate prediction/reference pairs")

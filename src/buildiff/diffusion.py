@@ -57,17 +57,14 @@ def ancestral_step(xt: np.ndarray, t: int, eps_guided: np.ndarray,
     return mean
 
 
-Snapshots = list[tuple[int, np.ndarray]]
-
-
 def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
-           schedule: NoiseSchedule,
-           trace_stride: int) -> tuple[PointCloud, Snapshots]:
+           schedule: NoiseSchedule, on_step=None) -> PointCloud:
     """The one reverse chain, from Gaussian noise to an N-point cloud whose
     first K = len(fixed) rows are written once and never stepped, so they
-    survive bitwise, in the cloud and in every snapshot; K = 0 is the base
-    chain. Snapshots (t, points) are taken every trace_stride steps and at
-    t=0.
+    survive bitwise in every state; K = 0 is the base chain. After each
+    reverse step t, on_step(t, x) is called, if given, with the live
+    (N, 3) state x_{t-1}; it must not write to x, which the next step
+    overwrites in place.
 
     model(xt, t, z_I_or_None) -> (N-K,3) noise prediction of rows K:; for
     gamma != 0 the loop calls model(xt, t, z_I, guided=True) once per step,
@@ -81,7 +78,6 @@ def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((N, 3))
     x[:K] = fixed
-    snapshots = []
     for t in range(schedule.T, 0, -1):
         if gamma == 0.0:
             eps = model(x, t, z_I)
@@ -95,27 +91,25 @@ def _chain(model, z_I, fixed: np.ndarray, N: int, gamma: float, seed: int,
             raise FloatingPointError(f"non-finite model output at step t={t}")
         z = rng.standard_normal((N, 3))[K:] if t > 1 else None
         x[K:] = ancestral_step(x[K:], t, eps, z, schedule)
-        if trace_stride and (t % trace_stride == 0 or t == 1):
-            snapshots.append((t - 1, x.copy()))
-    return PointCloud(x), snapshots
+        if on_step is not None:
+            on_step(t, x)
+    return PointCloud(x)
 
 
 def sample_base(model, z_I, K: int, gamma: float, seed: int,
-                schedule: NoiseSchedule,
-                trace_stride: int = 0) -> tuple[PointCloud, Snapshots]:
+                schedule: NoiseSchedule, on_step=None) -> PointCloud:
     """Base chain to a K-point cloud: the chain with no fixed points."""
     if K < 1:
         raise ValueError("K must be >= 1")
     return _chain(model, z_I, np.zeros((0, 3)), K, gamma, seed, schedule,
-                  trace_stride)
+                  on_step)
 
 
 def sample_upsampled(model, z_I, lowres: PointCloud, N: int, gamma: float,
                      seed: int, schedule: NoiseSchedule,
-                     trace_stride: int = 0) -> tuple[PointCloud, Snapshots]:
+                     on_step=None) -> PointCloud:
     """Upsampling chain to N points that holds the low-resolution cloud
     fixed in the first K rows."""
     if N <= lowres.count:
         raise ValueError(f"N={N} must exceed K={lowres.count}")
-    return _chain(model, z_I, lowres.points, N, gamma, seed, schedule,
-                  trace_stride)
+    return _chain(model, z_I, lowres.points, N, gamma, seed, schedule, on_step)

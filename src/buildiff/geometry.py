@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -90,6 +89,7 @@ def nearest_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k-d tree search. Exact duplicate rows of b (0.0 and -0.0 compare
     equal) resolve to their first occurrence: the tree holds only the first
     occurrence of each distinct row, found by a stable lexsort."""
+    from scipy.spatial import cKDTree  # here: most commands never need scipy
     order = np.lexsort(b.T[::-1])
     ranked = b[order]
     first = np.empty(len(b), dtype=bool)

@@ -7,8 +7,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .geometry import PointCloud, nearest_squared_distances, normalize_unit_cube
 
@@ -90,6 +88,9 @@ def emd(a: PointCloud, b: PointCloud, mode: str = "exact",
     Unequal counts are handled by seeded uniform subsampling to the smaller
     count; the returned flag records whether that happened.
     """
+    # here, not at module level: most commands never need scipy
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     if a.count == 0 or b.count == 0:
         raise ValueError("emd: empty cloud")
     if mode not in ("exact", "approx"):

@@ -473,12 +473,12 @@ def _log_before(path: Path, step: int) -> list[str]:
     return kept
 
 
-def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
+def _training_clouds(training, config: TrainConfig, ae_params,
                      n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(n cloud rows, silhouette embedding) per training building; the rows
+    """(n cloud rows, embedding) per (row, silhouette) of training; the rows
     are drawn without replacement, seeded by config.seed and the id."""
     data = []
-    for row, img in _training_silhouettes(Path(dataset_dir)):
+    for row, img in training:
         cloud = load_bpc(row["cloud_path"])
         if cloud.count < n:
             raise ValueError(f"{row['cloud_path']} has {cloud.count} points, "
@@ -490,17 +490,17 @@ def _training_clouds(dataset_dir: Path, config: TrainConfig, ae_params,
     return data
 
 
-def prepare_base_data(dataset_dir: Path, config: TrainConfig, ae_params):
+def prepare_base_data(training, config: TrainConfig, ae_params):
     """train_step triples (x0 (K,3), no fixed rows, embedding)."""
     return [(x0, x0[:0], emb)
-            for x0, emb in _training_clouds(dataset_dir, config, ae_params, config.K)]
+            for x0, emb in _training_clouds(training, config, ae_params, config.K)]
 
 
-def prepare_upsampler_data(dataset_dir: Path, config: TrainConfig, ae_params):
+def prepare_upsampler_data(training, config: TrainConfig, ae_params):
     """train_step triples (x0 (N,3), its K-point FPS subset, embedding)."""
     return [(x0, farthest_point_sample(PointCloud(x0), config.K,
                                        seed=config.seed + 1).points, emb)
-            for x0, emb in _training_clouds(dataset_dir, config, ae_params, config.N)]
+            for x0, emb in _training_clouds(training, config, ae_params, config.N)]
 
 
 def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
@@ -524,8 +524,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     T.keep_heap_warm()
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    dataset_dir = Path(dataset_dir)
-    silhouettes = [img for _, img in _training_silhouettes(dataset_dir)]
+    training = _training_silhouettes(Path(dataset_dir))
+    silhouettes = [img for _, img in training]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{stage}.bdif"
@@ -551,7 +551,7 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
                 "upsampler": (prepare_upsampler_data, config.epochs_upsampler, 20),
             }[stage]
             # the auto-encoder is freed once it has encoded the data
-            data = prepare(dataset_dir, config, load_stage_params(
+            data = prepare(training, config, load_stage_params(
                 out_dir, "autoencoder", config.d, silhouettes[0].height))
             params = init_denoiser_params(DenoiserConfig(d=config.d), seed=config.seed)
             per_step, schedule = config.batch_size, config.schedule(stage)

@@ -97,7 +97,7 @@ def test_criterion_03_guidance_algebra():
         z = rng.standard_normal((16, 3)) if t > 1 else None
         x = ancestral_step(x, t, eps, z, sch)
 
-    cloud, _ = sample_base(model, z_I, 16, 0.0, seed=11, schedule=sch)
+    cloud = sample_base(model, z_I, 16, 0.0, seed=11, schedule=sch)
     bit_identical = np.array_equal(cloud.points, x)
 
     # spot-check of the guided combination at gamma = 4
@@ -122,7 +122,7 @@ def test_criterion_04_analytic_denoiser_convergence():
         return (xt - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
 
     # 1000 points = 1000 independent chains under this per-point model
-    cloud, _ = sample_base(model, None, 1000, 0.0, seed=0, schedule=sch)
+    cloud = sample_base(model, None, 1000, 0.0, seed=0, schedule=sch)
     err = cloud.points - x0
     mean_err = float(np.abs(err.mean(axis=0)).max())
     std_err = float(err.std(axis=0).max())
@@ -146,7 +146,7 @@ def test_criterion_05_gaussian_target_moments():
         x0_mean = mu + (np.sqrt(ab) * s2 / var_t) * (xt - np.sqrt(ab) * mu)
         return (xt - np.sqrt(ab) * x0_mean) / np.sqrt(1.0 - ab)
 
-    cloud, _ = sample_base(model, None, 10_000, 0.0, seed=2, schedule=sch)
+    cloud = sample_base(model, None, 10_000, 0.0, seed=2, schedule=sch)
     pts = cloud.points
     sigma = np.sqrt(s2)
     mean_err = float(np.abs(pts.mean(axis=0) - mu).max())
@@ -263,8 +263,8 @@ def test_criterion_09_upsampler_exactness():
     rng = np.random.default_rng(5)
     params["dec.out_w"][...] = rng.normal(size=params["dec.out_w"].shape) * 0.05
     lowres = PointCloud(rng.normal(size=(32, 3)))
-    out, _ = sample_upsampled(make_model(params, K=32), rng.normal(size=8), lowres,
-                              128, 4.0, seed=6, schedule=sch)
+    out = sample_upsampled(make_model(params, K=32), rng.normal(size=8), lowres,
+                           128, 4.0, seed=6, schedule=sch)
     ok = np.array_equal(out.points[:32], lowres.points)
     verdict(9, ok, "upsampled cloud's first K points equal the low-res input bitwise")
 
@@ -287,8 +287,8 @@ def _roof_match_rate(model, ae, manifest, data_dir, cfg, gamma, schedule):
     hits = 0
     for i, e in enumerate(tests):
         z = encode(ae, load_pgm(data_dir / e["silhouette"]))
-        cloud, _ = sample_base(model, z, cfg.K, gamma, seed=3000 + i,
-                               schedule=schedule)
+        cloud = sample_base(model, z, cfg.K, gamma, seed=3000 + i,
+                            schedule=schedule)
         norm = normalize_unit_cube(cloud)
         hits += roof_oracle(norm) == e["spec"]["roof_type"]
     return hits / len(tests)

@@ -4,6 +4,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -700,6 +702,24 @@ class TestSample:
                     "--trace-stride", "5", "--trace-dir", str(tdir)]) == 0
         assert len(list(tdir.glob("trace_*.ply"))) >= 2
 
+    def test_high_res_traces_both_chains(self, dataset, checkpoints, tmp_path):
+        """--high-res writes each chain's states under its own name, after
+        every stride-th step t and after the last one, labelled t - 1; the
+        t = 0 files are the base-only cloud and the --out cloud."""
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        tdir, out, low = tmp_path / "trace", tmp_path / "o.ply", tmp_path / "low.ply"
+        assert run(["sample", "--checkpoints", str(checkpoints), "--image", str(img),
+                    "--out", str(out), "--seed", "5", "--high-res",
+                    "--trace-stride", "2", "--trace-dir", str(tdir)]) == 0
+        assert run(["sample", "--checkpoints", str(checkpoints), "--image", str(img),
+                    "--out", str(low), "--seed", "5"]) == 0
+        # T=10 base steps and T_upsampler=8 upsampler steps
+        assert sorted(p.name for p in tdir.iterdir()) == sorted(
+            [f"trace_base_{t:05d}.ply" for t in (9, 7, 5, 3, 1, 0)]
+            + [f"trace_upsampler_{t:05d}.ply" for t in (7, 5, 3, 1, 0)])
+        assert (tdir / "trace_upsampler_00000.ply").read_bytes() == out.read_bytes()
+        assert (tdir / "trace_base_00000.ply").read_bytes() == low.read_bytes()
+
     @pytest.mark.parametrize("flags,message", [
         (["--gamma", "nan"], "--gamma must be finite, got nan"),
         (["--gamma", "inf"], "--gamma must be finite, got inf"),
@@ -913,6 +933,19 @@ class TestHelp:
         out = capsys.readouterr().out
         for f in dataclasses.fields(TrainConfig):
             assert f.name in out
+
+    def test_import_leaves_scipy_out(self):
+        """A fresh interpreter imports the CLI without scipy, which only
+        nearest-neighbour search and EMD import, when they first run."""
+        src = str(Path(pipeline.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, buildiff.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestTrainDeterminism:

@@ -372,8 +372,8 @@ class TestFactoredForward:
         p = randomize_output_layer(small_params())
         z = np.random.default_rng(15).normal(size=8)
         sch = linear_beta_schedule(50)
-        got, _ = sample_base(make_model(p), z, 16, 4.0, seed=2, schedule=sch)
-        want, _ = sample_base(reference_model(p), z, 16, 4.0, seed=2, schedule=sch)
+        got = sample_base(make_model(p), z, 16, 4.0, seed=2, schedule=sch)
+        want = sample_base(reference_model(p), z, 16, 4.0, seed=2, schedule=sch)
         np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-12)
 
 
@@ -449,8 +449,8 @@ class TestFixedRows:
             return join_max(first, second)
 
         monkeypatch.setattr(denoiser, "join_max", counting_join)
-        got, _ = sample_upsampled(make_model(p, K), z, lowres, N, 4.0, seed=3,
-                                  schedule=sch)
+        got = sample_upsampled(make_model(p, K), z, lowres, N, 4.0, seed=3,
+                               schedule=sch)
         assert point_mlp_rows == [K] + [N - K] * 5
         assert joins == [(SMALL.w2,)] * 5
         point_mlp_rows.clear()
@@ -458,7 +458,7 @@ class TestFixedRows:
         def full(xt, t, z_I, guided=False):
             return denoise_graph(p, xt, t, z_I, guided=guided, K=K)
 
-        want, _ = sample_upsampled(full, z, lowres, N, 4.0, seed=3, schedule=sch)
+        want = sample_upsampled(full, z, lowres, N, 4.0, seed=3, schedule=sch)
         assert point_mlp_rows == [N] * 5
         assert bits(got.points) == bits(want.points)
 

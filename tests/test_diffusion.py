@@ -130,8 +130,8 @@ def analytic_point_mass_model(x0, K=0):
 class TestSamplingLoops:
     def test_deterministic_given_seed(self):
         model = analytic_point_mass_model(np.array([0.1, 0.2, 0.3]))
-        a, _ = sample_base(model, None, 16, 0.0, seed=5, schedule=SCH)
-        b, _ = sample_base(model, None, 16, 0.0, seed=5, schedule=SCH)
+        a = sample_base(model, None, 16, 0.0, seed=5, schedule=SCH)
+        b = sample_base(model, None, 16, 0.0, seed=5, schedule=SCH)
         assert np.array_equal(a.points, b.points)
 
     def test_gamma_zero_single_call_identical(self):
@@ -144,12 +144,12 @@ class TestSamplingLoops:
             eps = inner(xt, t, z_I)
             return (eps, inner(xt, t, None)) if guided else eps
 
-        a, _ = sample_base(counting, "cond", 8, 0.0, seed=1, schedule=SCH)
+        a = sample_base(counting, "cond", 8, 0.0, seed=1, schedule=SCH)
         # gamma=0: one plain conditional call per step, never the
         # unconditional branch
         assert calls == [(False, False)] * SCH.T
         calls.clear()
-        b, _ = sample_base(counting, "cond", 8, 4.0, seed=1, schedule=SCH)
+        b = sample_base(counting, "cond", 8, 4.0, seed=1, schedule=SCH)
         # gamma=4: one guided call per step returns both branches
         assert calls == [(False, True)] * SCH.T
         # eps_cond == eps_uncond for this model, so guidance is a no-op
@@ -158,24 +158,45 @@ class TestSamplingLoops:
     def test_point_mass_convergence(self):
         x0 = np.array([0.3, -0.5, 0.7])
         model = analytic_point_mass_model(x0)
-        cloud, _ = sample_base(model, None, 256, 0.0, seed=2, schedule=SCH)
+        cloud = sample_base(model, None, 256, 0.0, seed=2, schedule=SCH)
         err = cloud.points - x0
         assert np.abs(err.mean(axis=0)).max() < 0.05
         assert err.std(axis=0).max() < 0.05
 
     def test_trace_recording(self):
+        """on_step sees every step once, from T down to 1; the CLI's stride
+        selection (every 25th step and the last, labelled t - 1) is taken
+        from those calls."""
         model = analytic_point_mass_model(np.zeros(3))
-        _, snapshots = sample_base(model, None, 4, 0.0, seed=3, schedule=SCH,
-                                   trace_stride=25)
-        ts = [t for t, _ in snapshots]
+        steps = []
+        sample_base(model, None, 4, 0.0, seed=3, schedule=SCH,
+                    on_step=lambda t, x: steps.append(t))
+        assert steps == list(range(SCH.T, 0, -1))
+        ts = [t - 1 for t in steps if t % 25 == 0 or t == 1]
         assert ts == [99, 74, 49, 24, 0]
+
+    @pytest.mark.parametrize("gamma", [0.0, 4.0])
+    def test_on_step_leaves_cloud_unchanged(self, gamma):
+        """A chain with a callback returns the same cloud, bit for bit, as
+        one without, and its last call sees that cloud's rows."""
+        def model(xt, t, z_I, guided=False):
+            eps = np.sin(xt + t)
+            return (eps, np.cos(xt)) if guided else eps
+
+        states = []
+        plain = sample_base(model, None, 8, gamma, seed=6, schedule=SCH)
+        traced = sample_base(model, None, 8, gamma, seed=6, schedule=SCH,
+                             on_step=lambda t, x: states.append(x.copy()))
+        assert np.array_equal(plain.points, traced.points)
+        assert len(states) == SCH.T
+        assert np.array_equal(states[-1], plain.points)
 
     def test_upsampler_first_k_bitwise(self):
         rng = np.random.default_rng(11)
         lowres = PointCloud(rng.normal(size=(16, 3)))
         model = analytic_point_mass_model(np.zeros(3), K=16)
-        out, _ = sample_upsampled(model, None, lowres, 48, 0.0, seed=4,
-                                  schedule=SCH)
+        out = sample_upsampled(model, None, lowres, 48, 0.0, seed=4,
+                               schedule=SCH)
         assert out.count == 48
         assert np.array_equal(out.points[:16], lowres.points)
 
@@ -183,8 +204,8 @@ class TestSamplingLoops:
         rng = np.random.default_rng(12)
         lowres = PointCloud(rng.normal(size=(8, 3)))
         model = analytic_point_mass_model(np.zeros(3), K=8)
-        out, _ = sample_upsampled(model, None, lowres, 9, 0.0, seed=5,
-                                  schedule=SCH)
+        out = sample_upsampled(model, None, lowres, 9, 0.0, seed=5,
+                               schedule=SCH)
         assert out.count == 9
 
     def test_upsampler_rejects_small_n(self):
@@ -235,9 +256,11 @@ class TestUpsamplerChain:
         rng = np.random.default_rng(14)
         lowres = PointCloud(rng.normal(size=(16, 3)))
         sch = linear_beta_schedule(20)
-        out, snapshots = sample_upsampled(
+        snapshots = []
+        out = sample_upsampled(
             make_model(upsampler_params(), 16), rng.normal(size=8), lowres, 40,
-            4.0, seed=3, schedule=sch, trace_stride=1)
+            4.0, seed=3, schedule=sch,
+            on_step=lambda t, x: snapshots.append((t - 1, x.copy())))
         assert [t for t, _ in snapshots] == list(range(19, -1, -1))
         for t, snap in snapshots:
             assert np.array_equal(snap[:16], lowres.points), t
@@ -252,8 +275,8 @@ class TestUpsamplerChain:
         lowres = PointCloud(rng.normal(size=(16, 3)))
         z_I = rng.normal(size=8)
         sch = linear_beta_schedule(20)
-        out, _ = sample_upsampled(make_model(p, 16), z_I, lowres, 40, 4.0,
-                                  seed=7, schedule=sch)
+        out = sample_upsampled(make_model(p, 16), z_I, lowres, 40, 4.0,
+                               seed=7, schedule=sch)
         full = make_model(p)
         ref = np.random.default_rng(7)
         x = ref.standard_normal((40, 3))

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from buildiff import datagen, metrics
+from buildiff import datagen
 from buildiff.geometry import PointCloud, normalize_unit_cube
 from buildiff.metrics import (EXACT_EMD_LIMIT, PairReport, _auction_assignment,
                               chamfer, emd, evaluate_pair, fscore,
@@ -155,7 +156,7 @@ class TestEMD:
         def no_cdist(*args):
             raise AssertionError("cost matrix built before the checks")
 
-        monkeypatch.setattr(metrics, "cdist", no_cdist)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", no_cdist)
         rng = np.random.default_rng(11)
         a, b = cloud(rng.normal(size=(n_a, 3))), cloud(rng.normal(size=(n_b, 3)))
         with pytest.raises(ValueError, match=match):

@@ -871,8 +871,9 @@ class TestRunTraining:
         are the K-point FPS subset of its x0."""
         cfg = tiny_train_config()
         ae = init_ae_params(cfg.d, 16, seed=0)
-        base = P.prepare_base_data(tiny_dataset, cfg, ae)
-        up = P.prepare_upsampler_data(tiny_dataset, cfg, ae)
+        training = P._training_silhouettes(tiny_dataset)
+        base = P.prepare_base_data(training, cfg, ae)
+        up = P.prepare_upsampler_data(training, cfg, ae)
         assert len(base) == len(up) == 4
         for (xb, fb, eb), (xu, fu, eu) in zip(base, up):
             assert xb.shape == (cfg.K, 3) and fb.shape == (0, 3)
@@ -886,10 +887,26 @@ class TestRunTraining:
         file and both counts (the tiny clouds have 96 points)."""
         cfg = dataclasses.replace(tiny_train_config(), K=100, N=200)
         ae = init_ae_params(cfg.d, 16, seed=0)
+        training = P._training_silhouettes(tiny_dataset)
         with pytest.raises(ValueError, match=r"\.bpc has 96 points, fewer than the 100 "):
-            P.prepare_base_data(tiny_dataset, cfg, ae)
+            P.prepare_base_data(training, cfg, ae)
         with pytest.raises(ValueError, match=r"\.bpc has 96 points, fewer than the 200 "):
-            P.prepare_upsampler_data(tiny_dataset, cfg, ae)
+            P.prepare_upsampler_data(training, cfg, ae)
+
+    def test_base_stage_reads_each_silhouette_once(self, tiny_dataset, tmp_path,
+                                                   monkeypatch):
+        """The silhouettes checked before a stage starts are the ones its
+        data is encoded from: each training PGM is read once per run."""
+        cfg = dataclasses.replace(tiny_train_config(), epochs_ae=1, epochs_base=1)
+        run_training(tiny_dataset, cfg, "autoencoder", tmp_path)
+        reads = []
+
+        def counted(path):
+            reads.append(str(path))
+            return load_pgm(path)
+        monkeypatch.setattr(P, "load_pgm", counted)
+        run_training(tiny_dataset, cfg, "base", tmp_path)
+        assert len(reads) == 4 and len(set(reads)) == 4
 
     def test_lock_prevents_concurrent_runs(self, tiny_dataset, tmp_path):
         out = tmp_path / "locked"

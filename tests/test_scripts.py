@@ -54,7 +54,8 @@ def test_tiny_cli_run_is_reproducible(tmp_path):
                       for p in sorted(root.rglob("*")) if p.is_file()})
     assert trees[0] == trees[1]
     for path in ("ckpt/autoencoder.bdif", "ckpt/base.bdif", "ckpt/upsampler.bdif",
-                 "sample.ply", "sample_high_res.ply", "trace/trace_00000.ply",
+                 "sample.ply", "sample_high_res.ply",
+                 "trace/trace_base_00000.ply", "trace/trace_upsampler_00000.ply",
                  "sample_high_res.bpc", "sample_high_res.xyz", "report.jsonl"):
         assert path in trees[0], path
     # one file of training state per stage, its config and its step log; no
