@@ -61,6 +61,14 @@ def _load_cloud(path: Path) -> PointCloud:
     return loader(path)
 
 
+def _out_path(arg: str) -> Path:
+    """--out of sample, eval or export, checked before any input is read."""
+    out = Path(arg)
+    if not out.parent.is_dir():
+        raise IOError(f"--out {out}: no directory {out.parent}")
+    return out
+
+
 def _cloud_saver(path: Path):
     saver = CLOUD_SAVERS.get(path.suffix)
     if saver is None:
@@ -104,7 +112,7 @@ def _check_sample_flags(args) -> None:
 def _cmd_sample(args) -> int:
     start = time.perf_counter()
     _check_sample_flags(args)
-    out = Path(args.out)
+    out = _out_path(args.out)
     saver = _cloud_saver(out)
     ckpt_dir = Path(args.checkpoints)
     # a missing stage exits 2 before any input is read
@@ -158,6 +166,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_eval(args) -> int:
     start = time.perf_counter()
+    out = _out_path(args.out)
     pred_dir = Path(args.pred)
     ref_dir = Path(args.ref)
 
@@ -190,11 +199,14 @@ def _cmd_eval(args) -> int:
     if missing:
         print("error: unmatched ids: " + ", ".join(missing), file=sys.stderr)
         return EXIT_MISMATCH
+    if not preds:
+        print(f"error: no clouds to score in {pred_dir} or {ref_dir}", file=sys.stderr)
+        return EXIT_MISMATCH
     rows = [(pair_id, evaluate_pair(scorable_cloud(preds[pair_id][0]),
                                     scorable_cloud(refs[pair_id][0]),
                                     seed=args.seed))
             for pair_id in sorted(preds)]
-    summary = write_report_jsonl(args.out, rows)
+    summary = write_report_jsonl(out, rows)
     print(f"{'id':>12} {'CDx100':>10} {'EMDx100':>10} {'F1':>8}")
     for pair_id, rep in rows:
         print(f"{pair_id:>12} {rep.cd_scaled:>10.4f} {rep.emd_scaled:>10.4f} "
@@ -207,7 +219,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export(args) -> int:
     src = Path(args.input)
-    dst = Path(args.out)
+    dst = _out_path(args.out)
     saver = _cloud_saver(dst)
     cloud = _load_cloud(src)
     saver(dst, cloud)
@@ -280,6 +292,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tensor.keep_heap_warm()
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed: need seed >= 0, got {args.seed}")
         return args.fn(args)
     except StageDependencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

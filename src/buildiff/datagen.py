@@ -215,6 +215,8 @@ def build_dataset(out_dir, n_train: int = 200, n_test: int = 50,
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     unknown = [r for r in roof_mix if r not in ROOF_TRIANGLES]
     if unknown or not roof_mix:
         raise ValueError(f"roof_mix {','.join(roof_mix)!r}: roof types are "

@@ -133,13 +133,12 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     fused time/condition features. The context and fused features are the
     same on every row, so they are computed once as (1, .) rows and enter
     that layer as one bias row: ctx@W_ctx + fused@W_f + dec.b1, added to
-    h[K:]@W_h. With guided=True the two branches share the point MLP, the
-    max-pool context, the time features and the product h[K:]@W_h, to
-    which each adds its own bias row (the same float operation as linear's
-    bias, so each branch is bitwise a plain call); (eps_cond, eps_uncond)
-    is returned. A plain call, as training makes, takes h[K:]@W_h + bias
-    and its activation in one dense, which keeps the bare product and the
-    pre-activation off the tape.
+    h[K:]@W_h; a plain call, as training makes, takes that sum and its
+    activation in one dense. A guided call, which only sampling makes,
+    raises ValueError inside a Tape and returns (eps_cond, eps_uncond). Its
+    branches share the point MLP, the context, the time features and
+    h[K:]@W_h, computed once in plain numpy; each adds its own bias row and
+    takes the leaky ReLU by dense's float operations, bitwise a plain call.
 
     fixed_max, for sampling calls outside a Tape with K >= 1, is the (w2,)
     reduce_max_over_points of the point features of rows :K. Given it, the
@@ -149,6 +148,8 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     rows.
     """
     _check_input(xt, K)
+    if guided and T.recording():
+        raise ValueError("a guided call records nothing; make it outside a Tape")
     if fixed_max is None:
         h = point_features(params, xt)
         ctx = T.reduce_max_over_points(h)
@@ -162,14 +163,17 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     ctx = T.reshape(ctx, (1, ctx.shape[0]))
     ctx_bias = T.linear(ctx, params["dec.w1c"], params["dec.b1"])
 
-    hw = T.linear(noisy, w_h) if guided else None
+    hw = noisy @ w_h if guided else None
     zt = time_features(params, t)
 
     def branch(cond):
         fused = fuse_conditions(params, cond, zt)
         bias = T.linear(fused, w_f, ctx_bias)
-        out = (T.leaky_relu(T.add(hw, bias)) if guided
-               else T.dense(noisy, w_h, bias))
+        if guided:
+            out = hw + bias
+            np.maximum(out, out * T.LEAKY_SLOPE, out=out)
+        else:
+            out = T.dense(noisy, w_h, bias)
         out = T.dense(out, params["dec.w2"], params["dec.b2"])
         out = T.linear(out, params["dec.out_w"], params["dec.out_b"])
         if not np.all(np.isfinite(out)):

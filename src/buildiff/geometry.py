@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import replaced
+
 
 @dataclass
 class PointCloud:
@@ -107,7 +109,7 @@ BPC_MAGIC = b"BPC1"
 
 def save_bpc(path, cloud: PointCloud) -> None:
     """Compact binary: magic 'BPC1', u32 count, f32 xyz triples (LE)."""
-    with open(path, "wb") as fh:
+    with replaced(path) as fh:
         fh.write(BPC_MAGIC)
         fh.write(struct.pack("<I", cloud.count))
         fh.write(cloud.points.astype("<f4").tobytes())
@@ -137,7 +139,7 @@ def _xyz_text(cloud: PointCloud) -> str:
 
 
 def save_ply(path, cloud: PointCloud) -> None:
-    with open(path, "w") as fh:
+    with replaced(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {cloud.count}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
@@ -212,7 +214,7 @@ def load_ply(path) -> PointCloud:
 
 
 def save_xyz(path, cloud: PointCloud) -> None:
-    with open(path, "w") as fh:
+    with replaced(path, "w") as fh:
         fh.write(_xyz_text(cloud))
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .checkpoint import replaced
 from .geometry import PointCloud, nearest_squared_distances, normalize_unit_cube
 
 F1_TAU = 0.001  # threshold on squared distance (see README on the convention)
@@ -159,16 +160,16 @@ def evaluate_pair(pred: PointCloud, ref: PointCloud, seed: int = 0) -> PairRepor
 
 
 def write_report_jsonl(path, rows: list[tuple[str, PairReport]]) -> dict:
-    """One JSON object per pair plus a summary row of means; returns the
-    summary dict."""
+    """One JSON object per pair, then a summary row of their means (rows
+    must not be empty), written by checkpoint.replaced; returns the summary."""
     summary = {
         "id": "__summary__",
-        "cd_scaled": float(np.mean([r.cd_scaled for _, r in rows])) if rows else 0.0,
-        "emd_scaled": float(np.mean([r.emd_scaled for _, r in rows])) if rows else 0.0,
-        "f1": float(np.mean([r.f1 for _, r in rows])) if rows else 0.0,
+        "cd_scaled": float(np.mean([r.cd_scaled for _, r in rows])),
+        "emd_scaled": float(np.mean([r.emd_scaled for _, r in rows])),
+        "f1": float(np.mean([r.f1 for _, r in rows])),
         "n_pairs": len(rows),
     }
-    with open(path, "w") as fh:
+    with replaced(path, "w") as fh:
         for pair_id, rep in rows:
             obj = {"id": pair_id}
             obj.update(asdict(rep))

@@ -9,10 +9,9 @@ returns the gradient of each array in ``wrt``, matched by ``id()``: a view
 of a parameter is another array and gets no gradient, so parameters enter
 a graph only through ops (``linear``, ``reshape``), never through numpy
 indexing. No implicit broadcasting: shapes must match exactly,
-except that a (1, C) row is added to every row of a (K, C) array by
-the bias of ``linear`` and ``dense`` and by ``add``; no other op
-broadcasts. A tape is walked once, and the walk frees each entry as it
-passes it.
+except that the bias of ``linear`` and ``dense``, a (C,) or (1, C) row,
+is added to every row of their (K, C) product; no other op broadcasts.
+A tape is walked once, and the walk frees each entry as it passes it.
 
 The module also holds ``keep_heap_warm``, the one allocator setting for
 the arrays these ops make, which every entry point calls.
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _tls = threading.local()
-LEAKY_SLOPE = 0.01  # the negative slope of dense and, by default, leaky_relu
+LEAKY_SLOPE = 0.01  # the negative slope of dense's leaky ReLU
 
 
 class ShapeError(ValueError):
@@ -133,13 +132,9 @@ def _make(inputs, value, backward_fn) -> np.ndarray:
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b of equal shapes, or of a (K, C) array and a (1, C) row added
-    to every row; the row's gradient sums the rows of g, as linear's bias."""
-    if a.shape == b.shape:
-        return _make([a, b], a + b, lambda g: (g, g))
-    if a.ndim != 2 or b.shape != (1, a.shape[1]):
+    if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
-    return _make([a, b], a + b, lambda g: (g, g.sum(axis=0).reshape(b.shape)))
+    return _make([a, b], a + b, lambda g: (g, g))
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,19 +150,15 @@ def scale(a: np.ndarray, c: float) -> np.ndarray:
 
 def _check_affine(op: str, x, w, b) -> None:
     if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
-            or b is not None and b.shape not in ((w.shape[1],), (1, w.shape[1]))):
-        raise ShapeError(f"{op}: shapes {x.shape} @ {w.shape} + "
-                         f"{None if b is None else b.shape}")
+            or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
+        raise ShapeError(f"{op}: shapes {x.shape} @ {w.shape} + {b.shape}")
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Affine map x@W + b of a (K, Cin) array, with b of shape (C,) or
-    (1, C) added to every row; its gradient sums the rows of g. Without b
-    it is the bare product x@W."""
+    (1, C) added to every row; its gradient sums the rows of g."""
     _check_affine("linear", x, w, b)
     out = x @ w
-    if b is None:
-        return _make([x, w], out, lambda g: (g @ w.T, x.T @ g))
     out += b
 
     def bwd(g):
@@ -177,16 +168,17 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """leaky_relu(linear(x, w, b)) as one op that keeps only its output:
-    bit for bit the same value and gradients, without holding the
-    pre-activation a = x@W + b while the graph waits for its walk.
+    """The leaky ReLU of linear(x, w, b), max(a, slope * a) of the
+    pre-activation a = x@W + b, as one op that keeps only its output, not
+    a, while the graph waits for its walk.
 
-    The backward's coefficient (1 where a >= 0, else the slope) is read
-    from out >= 0, which agrees with a >= 0 for -0.0, NaN and the
-    infinities. It disagrees only where slope * a underflows to -0.0 for
-    a tiny negative a (|a| at most about 2.5e-322), whose output is then
-    the -0.0 of a = -0.0; the forward lists those elements, looking for
-    them only on a tape and only if out has a zero."""
+    The backward multiplies g by the coefficient 1 where a >= 0, else the
+    slope. It reads that from out >= 0, which agrees with a >= 0 for -0.0,
+    NaN and the infinities. It disagrees only where slope * a underflows
+    to -0.0 for a tiny negative a (|a| at most about 2.5e-322), whose
+    output is then the -0.0 of a = -0.0; the forward lists those
+    elements, looking for them only on a tape and only if out has a
+    zero."""
     _check_affine("dense", x, w, b)
     a = x @ w
     a += b
@@ -221,23 +213,6 @@ def concat_last_axis(parts: Sequence[np.ndarray]) -> np.ndarray:
         return tuple(np.split(g, splits, axis=-1))
 
     return _make(list(parts), np.concatenate(parts, axis=-1), bwd)
-
-
-def leaky_relu(a: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    # max(a, slope*a) equals a*coef, coef = 1 where a >= 0 else slope, bit
-    # for bit; the backward builds coef with a cast rather than np.where,
-    # which is several times slower
-    out = np.asarray(a * slope)  # a * slope is a scalar when a is 0-d
-    np.maximum(a, out, out=out)
-
-    def bwd(g):
-        coef = np.maximum(a >= 0, slope)
-        coef *= g
-        return (coef,)
-
-    return _make([a], out, bwd)
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:

@@ -59,6 +59,25 @@ def gather_rows_reference(a: np.ndarray, indices) -> np.ndarray:
     return T._make([a], out, bwd)
 
 
+def leaky_relu_reference(a: np.ndarray, slope: float = 0.01) -> np.ndarray:
+    """tensor.leaky_relu as it stood before the guided call left the tape,
+    recording on the current tape: max(a, slope * a), and a backward that
+    multiplies g by coef, 1 where a >= 0 else slope. Both equal a * coef
+    and g * coef bit for bit; the backward builds coef with a cast rather
+    than np.where, which is several times slower."""
+    from buildiff import tensor as T
+
+    out = np.asarray(a * slope)  # a * slope is a scalar when a is 0-d
+    np.maximum(a, out, out=out)
+
+    def bwd(g):
+        coef = np.maximum(a >= 0, slope)
+        coef *= g
+        return (coef,)
+
+    return T._make([a], out, bwd)
+
+
 def plan_indices(rows) -> np.ndarray:
     """The index array behind a tensor.GatherPlan, -1 for each padding row;
     any other argument as an int64 array."""

@@ -17,7 +17,8 @@ from buildiff.checkpoint import load_params, save_params
 from buildiff.cli import _load_config, build_parser, main
 from buildiff.conditioner import SilhouetteImage, save_pgm
 from buildiff.geometry import (BPC_MAGIC, PointCloud, load_bpc, load_ply,
-                               save_bpc, save_ply)
+                               save_bpc, save_ply, save_xyz)
+from buildiff.metrics import PairReport, write_report_jsonl
 from buildiff.pipeline import TrainConfig
 
 
@@ -473,6 +474,21 @@ class TestConfig:
         assert capsys.readouterr().err == "error: --seed: need seed >= 0, got -1\n"
         assert not (tmp_path / "ck").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "{tmp}/ds"],
+        # a missing stage would exit 2, so nothing is read before the check
+        ["sample", "--checkpoints", "{tmp}/ck", "--image", "{tmp}/i.pgm",
+         "--out", "{tmp}/o.ply"],
+        ["eval", "--pred", "{tmp}/pred", "--ref", "{tmp}/ref", "--out",
+         "{tmp}/r.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_3_before_reading_or_writing(self, tmp_path,
+                                                             capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: --seed: need seed >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSample:
     def test_missing_checkpoints_exits_2(self, dataset, tmp_path):
@@ -782,6 +798,17 @@ class TestEval:
         *_, mean = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r" +mean( +\S+){3} in \d+\.\d\d s", mean)
 
+    def test_no_pairs_exit_4_naming_both_directories(self, tmp_path, capsys):
+        """Two directories without clouds score nothing, not a perfect 0.0."""
+        pred, ref = self.make_dirs(tmp_path, [], [])
+        (pred / "notes.txt").write_text("not a cloud\n")
+        out = tmp_path / "r.jsonl"
+        assert run(["eval", "--pred", str(pred), "--ref", str(ref),
+                    "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert str(pred) in err and str(ref) in err
+        assert not out.exists()
+
     def test_unmatched_ids_exit_4(self, tmp_path, capsys):
         pred, ref = self.make_dirs(tmp_path, ["a", "b"], ["a", "c"])
         assert run(["eval", "--pred", str(pred), "--ref", str(ref),
@@ -834,6 +861,59 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(d / "a.bpc") in err and str(d / "a.xyz") in err
         assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("cmd", ["sample", "eval", "export"])
+    def test_out_in_missing_directory_exits_3_before_reading(self, tmp_path,
+                                                            capsys, cmd):
+        """The inputs do not exist either: their error would be another
+        exit code or message, so the --out check comes first."""
+        out = tmp_path / "no" / "o.ply"
+        argv = {"sample": ["--checkpoints", str(tmp_path / "ck"),
+                           "--image", str(tmp_path / "i.pgm")],
+                "eval": ["--pred", str(tmp_path / "p"), "--ref", str(tmp_path / "r")],
+                "export": ["--input", str(tmp_path / "c.ply")]}[cmd]
+        assert run([cmd, *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: --out {out}: no directory "
+                                           f"{out.parent}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [
+        lambda path: save_ply(path, PointCloud(np.eye(3))),
+        lambda path: save_bpc(path, PointCloud(np.eye(3))),
+        lambda path: save_xyz(path, PointCloud(np.eye(3))),
+        lambda path: write_report_jsonl(
+            path, [("a", PairReport(1.0, 2.0, 0.5, 3, 3))]),
+    ], ids=["ply", "bpc", "xyz", "report"])
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch,
+                                               write):
+        """A writer that raises after its first write leaves the file it
+        was replacing byte for byte, and no .tmp file."""
+        path = tmp_path / "out"
+        path.write_bytes(b"previous\n")
+
+        class FailAfterWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data)
+                raise OSError("no space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda p, mode: FailAfterWrite(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            write(path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestExport:

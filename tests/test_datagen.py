@@ -187,6 +187,11 @@ class TestSilhouette:
 
 
 class TestDataset:
+    def test_negative_seed_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            build_dataset(tmp_path / "ds", n_train=2, n_test=1, seed=-1)
+        assert not (tmp_path / "ds").exists()
+
     def test_build_layout_and_determinism(self, tmp_path):
         m1 = build_dataset(tmp_path / "a", n_train=6, n_test=2, n_points=128,
                            resolution=16, seed=9)

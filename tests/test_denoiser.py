@@ -9,7 +9,8 @@ from buildiff.denoiser import (DenoiserConfig, denoise_graph,
 from buildiff.diffusion import sample_base, sample_upsampled
 from buildiff.geometry import PointCloud
 from buildiff.schedule import linear_beta_schedule
-from oracles import finite_diff_grad, init_denoiser_params_reference
+from oracles import (finite_diff_grad, init_denoiser_params_reference,
+                     leaky_relu_reference)
 
 SMALL = DenoiserConfig(d=8, w1=6, w2=10, wd=12)
 
@@ -159,7 +160,7 @@ class TestForward:
         denoise_graph(p, xt, 3, None)
         assert recorded_ops() == 0
         with T.Tape():  # the counter does see a training forward
-            denoise_graph(p, xt, 3, z, guided=True)
+            denoise_graph(p, xt, 3, z)
         assert recorded_ops() > 0
 
     @pytest.mark.parametrize("K", [1, 4, 9])
@@ -235,15 +236,15 @@ def concat_forward(params, xt, t, z_I, w1=None):
     decoder layer's three blocks, concatenated (or through w1)."""
     w1 = concat_w1(params) if w1 is None else w1
     rows = np.zeros(xt.shape[0], dtype=np.int64)  # repeat a (1, .) row K times
-    h = T.leaky_relu(T.linear(xt, params["point.w1"], params["point.b1"]))
-    h = T.leaky_relu(T.linear(h, params["point.w2"], params["point.b2"]))
+    h = leaky_relu_reference(T.linear(xt, params["point.w1"], params["point.b1"]))
+    h = leaky_relu_reference(T.linear(h, params["point.w2"], params["point.b2"]))
     ctx = T.reshape(T.reduce_max_over_points(h), (1, h.shape[1]))
     ctx = T.gather_rows(ctx, rows)
     fused = T.gather_rows(fuse_conditions(params, z_I, time_features(params, t)),
                           rows)
     feat = T.concat_last_axis([h, ctx, fused])
-    out = T.leaky_relu(T.linear(feat, w1, params["dec.b1"]))
-    out = T.leaky_relu(T.linear(out, params["dec.w2"], params["dec.b2"]))
+    out = leaky_relu_reference(T.linear(feat, w1, params["dec.b1"]))
+    out = leaky_relu_reference(T.linear(out, params["dec.w2"], params["dec.b2"]))
     return T.linear(out, params["dec.out_w"], params["dec.out_b"])
 
 
@@ -311,42 +312,38 @@ class TestFactoredForward:
     def test_guided_equals_two_calls_at_paper_size(self):
         self._assert_guided_equals_two_calls(DenoiserConfig(), 4096, 1024)
 
-    def test_guided_call_runs_point_trunk_once(self):
+    def test_guided_call_runs_point_trunk_once(self, monkeypatch):
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(14)
         xt = rng.normal(size=(10, 3))
         z = rng.normal(size=8)
-
-        def uses(tape, name):
-            a = p[name] if isinstance(name, str) else name
-            return sum(any(x is a for x in e.inputs) for e in tape.entries)
-
-        with T.Tape() as guided:
-            denoise_graph(p, xt, 6, z, guided=True)
-        with T.Tape() as single:
-            denoise_graph(p, xt, 6, z)
-        for name in ("point.w1", "point.w2", "dec.w1h", "dec.w1c", "time.w1",
-                     "time.w2"):
-            assert uses(guided, name) == uses(single, name) == 1, name
-        # the point MLP, the max-pool context, ctx@W_ctx, the time MLP and
-        # the product hw = h@W_h are shared; each branch adds its bias row
-        # to hw and runs the rest of the decoder
-        hw = next(e.output for e in guided.entries
-                  if any(x is p["dec.w1h"] for x in e.inputs))
-        assert uses(guided, hw) == 2
-        for name in ("dec.w1f", "dec.w2"):
-            assert uses(guided, name) == 2 * uses(single, name) == 2, name
+        calls = []
+        for name in ("point_features", "time_features", "fuse_conditions"):
+            def counting(*args, _name=name, _run=getattr(denoiser, name)):
+                calls.append(_name)
+                return _run(*args)
+            monkeypatch.setattr(denoiser, name, counting)
+        # the point MLP, the max-pool context and the time MLP are shared;
+        # each branch fuses its own condition
+        for K in (0, 4):
+            denoise_graph(p, xt, 6, z, guided=True, K=K)
+            assert calls == ["point_features", "time_features",
+                             "fuse_conditions", "fuse_conditions"], K
+            calls.clear()
+        monkeypatch.undo()
         # the decoder reads its weights whole and no call gathers rows: the
         # cut h[K:] of an upsampler call is one rows_from view of h
+        with T.Tape() as single:
+            denoise_graph(p, xt, 6, z)
         with T.Tape() as cut:
-            denoise_graph(p, xt, 6, z, guided=True, K=4)
+            denoise_graph(p, xt, 6, z, K=4)
 
         def ops(tape, name):
             return [e for e in tape.entries
                     if e.backward_fn.__qualname__.startswith(name + ".")]
 
-        assert not any(ops(tape, "gather_rows") for tape in (guided, single, cut))
-        assert not ops(guided, "rows_from") and not ops(single, "rows_from")
+        assert not any(ops(tape, "gather_rows") for tape in (single, cut))
+        assert not ops(single, "rows_from")
         (view,) = ops(cut, "rows_from")
         assert view.output.base is view.inputs[0]
         assert view.output.shape == (6, SMALL.w2)
@@ -354,9 +351,8 @@ class TestFactoredForward:
     def test_tape_entries_per_call(self, recorded_ops):
         """One op per layer, its activation included, and no gather of
         weight rows: at the toy config (K=256, d=32) a plain call records
-        14 tape entries and a guided call 25: one shared h@W_h product and
-        one shared time MLP (two entries), then one bias-row add and its
-        leaky ReLU per branch."""
+        14 tape entries. A guided call, which only sampling makes, raises
+        inside a Tape and records nothing."""
         p = init_denoiser_params(DenoiserConfig(d=32), seed=0)
         rng = np.random.default_rng(16)
         xt = rng.normal(size=(256, 3))
@@ -364,9 +360,9 @@ class TestFactoredForward:
         with T.Tape():
             denoise_graph(p, xt, 7, z)
         assert recorded_ops() == 14
-        with T.Tape():
+        with T.Tape(), pytest.raises(ValueError, match="guided"):
             denoise_graph(p, xt, 7, z, guided=True)
-        assert recorded_ops() == 14 + 25
+        assert recorded_ops() == 14
 
     def test_guided_sampling_matches_reference(self):
         p = randomize_output_layer(small_params())
