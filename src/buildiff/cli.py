@@ -22,8 +22,9 @@ from .denoiser import make_model
 from .geometry import (PointCloud, load_bpc, load_ply, load_xyz,
                        normalize_unit_cube, save_bpc, save_ply, save_xyz)
 from .metrics import evaluate_pair, write_report_jsonl
-from .pipeline import (StageDependencyError, TrainConfig, load_stage_params,
-                       run_training, toy_config, trained_checkpoint)
+from .pipeline import (ConfigMismatchError, StageDependencyError, TrainConfig,
+                       load_stage_params, run_training, toy_config,
+                       trained_checkpoint)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -136,31 +137,40 @@ def _cmd_sample(args) -> int:
     if args.trace_dir is not None:
         Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
 
-    def chain(stage, run, *chain_args):
-        """run(*chain_args), writing the states --trace-stride selects, with
-        a non-finite model output named by the stage and its checkpoint."""
+    timings = []
+
+    def chain(stage, run, *chain_args, schedule):
+        """run(*chain_args, schedule=schedule), writing the states
+        --trace-stride selects, with a non-finite model output named by the
+        stage and its checkpoint; notes the chain's steps and ms per step
+        in timings."""
         def on_step(t, x):
             if t % args.trace_stride == 0 or t == 1:
                 save_ply(Path(args.trace_dir) / f"trace_{stage}_{t - 1:05d}.ply",
                          PointCloud(x))
+        chain_start = time.perf_counter()
         try:
-            return run(*chain_args,
-                       on_step=None if args.trace_dir is None else on_step)
+            cloud = run(*chain_args, schedule=schedule,
+                        on_step=None if args.trace_dir is None else on_step)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{stage} stage, {ckpt_dir / f'{stage}.bdif'}: {exc}") from None
+        ms = (time.perf_counter() - chain_start) * 1e3
+        timings.append((stage, schedule.T, ms / schedule.T))
+        return cloud
 
     cloud = chain("base", sample_base, make_model(base_params), z_I, cfg.K,
-                  args.gamma, args.seed, cfg.schedule("base"))
-    steps = cfg.T
+                  args.gamma, args.seed, schedule=cfg.schedule("base"))
     if args.high_res:
         cloud = chain("upsampler", sample_upsampled,
                       make_model(up_params, up_cfg.K), z_I, cloud, up_cfg.N,
-                      args.gamma, args.seed + 1, up_cfg.schedule("upsampler"))
-        steps += up_cfg.T_upsampler
+                      args.gamma, args.seed + 1,
+                      schedule=up_cfg.schedule("upsampler"))
     saver(out, cloud)
-    print(f"seed={args.seed} gamma={args.gamma} steps={steps} -> {out} "
-          f"in {time.perf_counter() - start:.2f} s")
+    steps = sum(n for _, n, _ in timings)
+    per_chain = ", ".join(f"{stage} {n} x {ms:.2f} ms" for stage, n, ms in timings)
+    print(f"seed={args.seed} gamma={args.gamma} steps={steps} ({per_chain}) "
+          f"-> {out} in {time.perf_counter() - start:.2f} s")
     return EXIT_OK
 
 
@@ -298,6 +308,9 @@ def main(argv=None) -> int:
     except StageDependencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
+    except ConfigMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -138,7 +138,8 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
     raises ValueError inside a Tape and returns (eps_cond, eps_uncond). Its
     branches share the point MLP, the context, the time features and
     h[K:]@W_h, computed once in plain numpy; each adds its own bias row and
-    takes the leaky ReLU by dense's float operations, bitwise a plain call.
+    takes the leaky ReLU into a new array by tensor.bias_leaky_relu, the
+    helper dense itself calls, so it is bitwise a plain call.
 
     fixed_max, for sampling calls outside a Tape with K >= 1, is the (w2,)
     reduce_max_over_points of the point features of rows :K. Given it, the
@@ -170,8 +171,8 @@ def denoise_graph(params: dict[str, np.ndarray], xt: np.ndarray, t: int,
         fused = fuse_conditions(params, cond, zt)
         bias = T.linear(fused, w_f, ctx_bias)
         if guided:
-            out = hw + bias
-            np.maximum(out, out * T.LEAKY_SLOPE, out=out)
+            out = np.empty_like(hw)
+            T.bias_leaky_relu(hw, bias, out)
         else:
             out = T.dense(noisy, w_h, bias)
         out = T.dense(out, params["dec.w2"], params["dec.b2"])

@@ -296,7 +296,15 @@ class StageDependencyError(RuntimeError):
     pass
 
 
+class ConfigMismatchError(RuntimeError):
+    pass
+
+
 STAGES = ("autoencoder", "base", "upsampler")
+# the config keys a resumed run may change: how long to train and how often
+# to checkpoint, none of which the checkpointed steps depend on
+RESUMABLE_KEYS = ("epochs_ae", "epochs_base", "epochs_upsampler",
+                  "checkpoint_interval")
 
 
 def trained_checkpoint(ckpt_dir, stage: str) -> Path:
@@ -307,6 +315,25 @@ def trained_checkpoint(ckpt_dir, stage: str) -> Path:
         raise StageDependencyError(f"no {stage!r} checkpoint at {path}; "
                                    f"train that stage first")
     return path
+
+
+def check_resumed_config(path: Path, config: TrainConfig) -> None:
+    """Raise ConfigMismatchError naming each key outside RESUMABLE_KEYS
+    whose value in the config file at path, the one a run to be resumed
+    wrote, differs from config's, with both values. No file, nothing to
+    compare."""
+    if not path.exists():
+        return
+    saved = TrainConfig.load(path)
+    diffs = [f"{f.name}={getattr(saved, f.name)} there, "
+             f"{f.name}={getattr(config, f.name)} now"
+             for f in dataclasses.fields(TrainConfig)
+             if f.name not in RESUMABLE_KEYS
+             and getattr(saved, f.name) != getattr(config, f.name)]
+    if diffs:
+        raise ConfigMismatchError(f"{path}: a resumed run needs the config "
+                                  f"it was checkpointed with, but "
+                                  + "; ".join(diffs))
 
 
 def _load_dataset(dataset_dir: Path, split: str) -> list[dict]:
@@ -513,7 +540,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     (_training_silhouettes). Diffusion stages read the frozen auto-encoder
     (load_stage_params, at config.d and the silhouettes' side); the
     upsampler also needs the base checkpoint to exist. `<stage>.config` is
-    written once, before the first step.
+    written once, before the first step; a resumed run first checks it
+    against config (check_resumed_config).
     Checkpoints are written every config.checkpoint_interval epochs, each
     in one commit point, and capture optimizer and RNG state for bitwise
     resumption. The step log `<stage>.log.jsonl` starts empty, or on
@@ -532,6 +560,8 @@ def run_training(dataset_dir, config: TrainConfig, stage: str, out_dir,
     log_path = out_dir / f"{stage}.log.jsonl"
 
     with _DirLock(out_dir):
+        if resume and ckpt.exists():
+            check_resumed_config(ckpt.with_suffix(".config"), config)
         # each stage's data, fresh parameters, epochs, data items per logged
         # step (a whole epoch for the auto-encoder, one Adam step per image),
         # seed offset, and a step returning its loss and its log line

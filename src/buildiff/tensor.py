@@ -14,7 +14,9 @@ is added to every row of their (K, C) product; no other op broadcasts.
 A tape is walked once, and the walk frees each entry as it passes it.
 
 The module also holds ``keep_heap_warm``, the one allocator setting for
-the arrays these ops make, which every entry point calls.
+the arrays these ops make, which every entry point calls, and
+``bias_leaky_relu``, dense's bias add and activation, which records
+nothing, for the decoder's guided branches.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 _tls = threading.local()
 LEAKY_SLOPE = 0.01  # the negative slope of dense's leaky ReLU
+BLOCK_ELEMENTS = 1 << 15  # bias_leaky_relu's block: 256 KiB of float64
 
 
 class ShapeError(ValueError):
@@ -167,26 +170,50 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _make([x, w, b], out, bwd)
 
 
+def bias_leaky_relu(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    find_underflow: bool = False) -> np.ndarray | None:
+    """Write max(p, slope * p) of p = a + b into out (which may be a),
+    for a (K, C) array a and a (C,) or (1, C) bias row b, one block of
+    rows (about BLOCK_ELEMENTS elements) at a time, so that the three
+    passes over a block stay in cache. Each element goes through the same
+    float operations, in the same order, as the whole-array a + b, then
+    p * slope, then np.maximum: the bits do not depend on the blocking.
+    The block temporary has out's dtype. Records nothing.
+
+    With find_underflow, returns the flat indices, in order, where p is a
+    tiny negative whose slope * p underflows to zero (see dense), or None
+    if no slope * p is zero."""
+    n, c = a.shape
+    rows = max(BLOCK_ELEMENTS // max(c, 1), 1)
+    under = []
+    for r0 in range(0, n, rows):
+        blk = out[r0:r0 + rows]
+        np.add(a[r0:r0 + rows], b, out=blk)
+        t = blk * LEAKY_SLOPE
+        if find_underflow and not t.all():
+            under.append(np.flatnonzero((t == 0) & (blk < 0)) + r0 * c)
+        np.maximum(blk, t, out=blk)
+    return np.concatenate(under) if under else None
+
+
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The leaky ReLU of linear(x, w, b), max(a, slope * a) of the
     pre-activation a = x@W + b, as one op that keeps only its output, not
-    a, while the graph waits for its walk.
+    a, while the graph waits for its walk. The matmul is one whole-array
+    x @ w; bias_leaky_relu then adds b and takes the leaky ReLU in place,
+    a block of rows at a time. The guided branch of denoise_graph calls the
+    same helper, so its float operations are dense's by construction.
 
     The backward multiplies g by the coefficient 1 where a >= 0, else the
     slope. It reads that from out >= 0, which agrees with a >= 0 for -0.0,
     NaN and the infinities. It disagrees only where slope * a underflows
     to -0.0 for a tiny negative a (|a| at most about 2.5e-322), whose
     output is then the -0.0 of a = -0.0; the forward lists those
-    elements, looking for them only on a tape and only if out has a
-    zero."""
+    elements, looking for them only on a tape and only in blocks where
+    some slope * a is zero."""
     _check_affine("dense", x, w, b)
-    a = x @ w
-    a += b
-    out = a * LEAKY_SLOPE
-    np.maximum(a, out, out=out)
-    under = None
-    if recording() and not out.all():
-        under = np.flatnonzero((out == 0) & (a < 0))
+    out = x @ w
+    under = bias_leaky_relu(out, b, out, find_underflow=recording())
 
     def bwd(g):
         coef = np.maximum(out >= 0, LEAKY_SLOPE)

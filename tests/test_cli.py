@@ -341,6 +341,38 @@ class TestResume:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "no record 'opt.m.enc.c1'" in err
 
+    def test_resume_with_other_config_exits_4_naming_each_key(
+            self, dataset, checkpoints, tmp_path, capsys):
+        """--resume compares base.config with the current config before it
+        writes anything: each differing key outside the resumable ones is
+        named with both values, and the stage's files stay as they were."""
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        before = tree_bytes(ck)
+        capsys.readouterr()
+        assert run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN
+                   + ["--set", "T=12", "--set", "lr=0.001", "--set", "epochs_base=2",
+                      "--set", "sigma_mode=posterior", "--resume"]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"error: {ck / 'base.config'}: a resumed run needs the "
+                       f"config it was checkpointed with, but T=10 there, T=12 now; "
+                       f"lr=0.0002 there, lr=0.001 now; sigma_mode=large there, "
+                       f"sigma_mode=posterior now\n")
+        assert tree_bytes(ck) == before
+
+    def test_resume_may_change_epochs_and_checkpoint_interval(
+            self, dataset, checkpoints, tmp_path):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoints, ck)
+        more = ["--set", "epochs_base=2", "--set", "checkpoint_interval=2",
+                "--set", "epochs_ae=5", "--set", "epochs_upsampler=7"]
+        assert run(["train-base", "--dataset", str(dataset), "--out", str(ck),
+                    "--seed", "0"] + TINY_TRAIN + more + ["--resume"]) == 0
+        assert load_params(ck / "base.bdif")["opt.epoch"] == 2.0
+        saved = TrainConfig.load(ck / "base.config")
+        assert (saved.epochs_base, saved.checkpoint_interval) == (2, 2)
+
     def test_diverged_step_exits_5_in_one_line(self, dataset, tmp_path, capsys,
                                                monkeypatch):
         def diverged(*args):
@@ -695,10 +727,22 @@ class TestSample:
                     "--out", str(out), "--seed", "2", "--high-res"]) == 0
         assert load_bpc(out).count == 128
         (line,) = capsys.readouterr().out.splitlines()
-        assert " steps=16 " in line  # T=10 base + 6 upsampler
-        # the last words are the command's wall time
-        assert re.fullmatch(rf"seed=2 gamma=4.0 steps=16 -> {re.escape(str(out))}"
+        # T=10 base + 6 upsampler steps, each chain's ms per step, and last
+        # the command's wall time
+        assert re.fullmatch(r"seed=2 gamma=4.0 steps=16 \(base 10 x \d+\.\d\d ms, "
+                            rf"upsampler 6 x \d+\.\d\d ms\) -> {re.escape(str(out))}"
                             r" in \d+\.\d\d s", line)
+
+    def test_base_only_line_times_the_base_chain(self, checkpoints, dataset,
+                                                 tmp_path, capsys):
+        img = next((dataset / "silhouettes").glob("*.pgm"))
+        out = tmp_path / "o.ply"
+        capsys.readouterr()
+        assert run(["sample", "--checkpoints", str(checkpoints), "--image",
+                    str(img), "--out", str(out), "--seed", "3"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"seed=3 gamma=4.0 steps=10 \(base 10 x \d+\.\d\d ms\) "
+                            rf"-> {re.escape(str(out))} in \d+\.\d\d s", line)
 
     def test_high_res_k_mismatch_exits_4(self, base_at_n256, tmp_path, capsys):
         ck, img = self._with_upsampler(base_at_n256, tmp_path, ["--set", "K=8"])

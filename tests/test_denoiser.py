@@ -312,6 +312,14 @@ class TestFactoredForward:
     def test_guided_equals_two_calls_at_paper_size(self):
         self._assert_guided_equals_two_calls(DenoiserConfig(), 4096, 1024)
 
+    @pytest.mark.parametrize("K", [0, 300])
+    def test_guided_equals_two_calls_over_several_blocks(self, K):
+        """The decoder rows span three whole blocks of bias_leaky_relu and a
+        partial fourth, in the guided branches and in dense alike."""
+        cfg = DenoiserConfig()
+        rows = T.BLOCK_ELEMENTS // cfg.wd
+        self._assert_guided_equals_two_calls(cfg, K + 3 * rows + rows // 3, K)
+
     def test_guided_call_runs_point_trunk_once(self, monkeypatch):
         p = randomize_output_layer(small_params())
         rng = np.random.default_rng(14)

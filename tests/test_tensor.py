@@ -417,6 +417,65 @@ def test_dense_bitwise_equal_to_leaky_relu_of_linear(seed):
             assert have.tobytes() == ref.tobytes()
 
 
+SPECIAL_ROWS = [0.0, -0.0, np.nan, np.inf, -np.inf, -5e-324, -2e-322, 5e-324,
+                -1e-310]  # _dense_case's pre-activations, one row each
+
+
+def _multi_block_case(rng, c):
+    """x, W, b, g for dense at width c whose rows span three whole blocks
+    of bias_leaky_relu and a partial fourth. Rows holding SPECIAL_ROWS
+    straddle the end of the first block (the last two in the second) and
+    sit inside the third block and at the end of the last: x is (SPECIAL_ROWS[i], 0, ...) on such a
+    row and W's first row is ones, so x@W is that value on all of it
+    (and, with a -0.0 bias, so is the pre-activation). g is never -0.0,
+    NaN or infinite on those rows, so each underflow's coefficient shows
+    in the gradient of x."""
+    rows = max(1, T.BLOCK_ELEMENTS // c)
+    n = 3 * rows + rows // 2 + 1
+    x = rng.normal(size=(n, 5))
+    w = rng.normal(size=(5, c))
+    w[0] = 1.0
+    k = len(SPECIAL_ROWS)
+    starts = [rows - k + 2, 2 * rows + rows // 2 - k // 2, n - k]
+    special = np.concatenate([np.arange(s, s + k) for s in starts])
+    x[special] = 0.0
+    x[special, 0] = np.tile(SPECIAL_ROWS, len(starts))
+    g = rng.normal(size=(n, c))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[special] = rng.normal(size=(len(special), c))
+    g[rows // 2, :1] = np.nan
+    g[rows // 2 + 1, :1] = np.inf
+    return x, w, g
+
+
+@pytest.mark.parametrize("c", [1, 3, 64, 128])
+def test_dense_over_several_blocks_bitwise_equal_to_reference(c):
+    """Over three blocks of rows and a partial fourth, with signed zeros,
+    NaN, infinities and underflowing tiny negatives in the first, the
+    third and the last block: dense's output, untaped and taped, and its
+    gradients equal leaky_relu_reference(linear(x, W, b)) bit for bit.
+    Each block's underflow indices must be offset by the block's first
+    row, or the gradient of x differs."""
+    rng = np.random.default_rng(c)
+    x, w, g = _multi_block_case(rng, c)
+    rows = max(1, T.BLOCK_ELEMENTS // c)
+    assert len(x) > 3 * rows and len(x) % rows
+    for bias in (np.full((1, c), -0.0), rng.normal(size=c)):
+        with np.errstate(invalid="ignore"):
+            untaped = T.dense(x, w, bias)
+            with T.Tape() as tape:
+                want = leaky_relu_reference(T.linear(x, w, bias), T.LEAKY_SLOPE)
+                (g_pre,) = tape.entries[-1].backward_fn(g)
+                want_grads = tape.entries[-2].backward_fn(g_pre)
+                got = T.dense(x, w, bias)
+                got_grads = tape.entries[-1].backward_fn(g)
+        assert untaped.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        for have, ref in zip(got_grads, want_grads, strict=True):
+            assert have.shape == ref.shape
+            assert have.tobytes() == ref.tobytes()
+
+
 def test_dense_bad_shapes():
     msg = "dense: shapes (2, 3) @ (3, 4) + (2, 4)"
     with pytest.raises(T.ShapeError, match=re.escape(msg)):
